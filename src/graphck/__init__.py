@@ -27,8 +27,8 @@ from .errors import (AdmissibilityError, ExprSyntaxError, GraphCKError,
                      SinkObstructionError)
 from .exprs import format_element, parse_element
 from .graphs import (Graph, GraphProperties, Path, enumerate_paths,
-                     parse_graph, transfer_matrix, validate_graph,
-                     vertex_matrix)
+                     parse_graph, require_regular, transfer_matrix,
+                     validate_graph, vertex_matrix)
 from .intmat import (AbelianGroup, IntMatrix, SNFResult,
                      abelian_group_from_cokernel, hermite_row_basis,
                      in_stabilized_kernel, integer_kernel_basis,

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import CKElement, classify
-from .errors import HypothesisError, InternalInvariantError, NotAProjectionError
-from .graphs import Graph, transfer_matrix, validate_graph
+from .errors import InternalInvariantError, NotAProjectionError
+from .graphs import Graph, require_regular, transfer_matrix
 from .intmat import AbelianGroup, in_stabilized_kernel
 
 
@@ -63,14 +63,6 @@ class GradedProjection:
     k: int
 
 
-def _require_regular(g: Graph):
-    props = validate_graph(g)
-    if not props.no_sinks:
-        raise HypothesisError("graph has a sink; core K-theory needs no sinks")
-    if not props.no_sources:
-        raise HypothesisError("graph has a source; core K-theory needs no sources")
-
-
 def _block_rank_vector(q: CKElement, m: int) -> tuple:
     """Per-vertex trace of q expanded at level m; must be integer ranks."""
     g = q.graph
@@ -99,7 +91,7 @@ def _block_rank_vector(q: CKElement, m: int) -> tuple:
 
 def class_of_projection(q: CKElement, check: bool = True) -> K0FClass:
     """Class of a projection in the core: block ranks at its natural level."""
-    _require_regular(q.graph)
+    require_regular(q.graph)
     if check and q.terms:
         info = classify(q)
         if not info.in_F:
@@ -124,7 +116,7 @@ def class_of_graded_projection(gp, k: int = None, check: bool = True) -> K0FClas
         q = gp
         if k is None:
             raise TypeError("missing grading index")
-    _require_regular(q.graph)
+    require_regular(q.graph)
     if check and q.terms:
         info = classify(q)
         if not info.in_F:
@@ -203,7 +195,7 @@ def k0f_value_in_closed_form(x: K0FClass):
 def k0f_describe(g: Graph) -> dict:
     """Description of the limit group: the transfer matrix plus any
     recognised closed form (single vertex or unimodular transfer)."""
-    _require_regular(g)
+    require_regular(g)
     B = transfer_matrix(g)
     return {
         "model": f"colim(Z^{g.n_vertices}, B)",

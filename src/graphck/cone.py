@@ -14,8 +14,8 @@ from __future__ import annotations
 from .afcore import (K0FClass, class_of_projection, k0f_combine, k0f_describe,
                      k0f_equal)
 from .algebra import CKElement, is_equal
-from .errors import HypothesisError, InternalInvariantError
-from .graphs import Graph, Path, transfer_matrix, validate_graph
+from .errors import InternalInvariantError
+from .graphs import Graph, Path, require_regular, transfer_matrix, validate_graph
 from .intmat import AbelianGroup
 from .ktheory import _verify_j_surjective, graph_k_theory
 from .pairing import AdmissibleIsometry, check_admissible, pairing
@@ -179,9 +179,7 @@ def mapping_cone_k_groups(g: Graph) -> dict:
     K-group of the graph algebra; when the graph is also weakly connected
     the index map identifies it with the limit group of the core.
     """
-    props = validate_graph(g)
-    if not (props.no_sinks and props.no_sources):
-        raise HypothesisError("mapping-cone K-theory needs no sinks and no sources")
+    props = require_regular(g)
     kt = graph_k_theory(g)
     surjective = _verify_j_surjective(g)
     if not surjective:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import GraphSyntaxError
+from .errors import GraphSyntaxError, HypothesisError
 from .intmat import IntMatrix
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -252,6 +252,23 @@ def validate_graph(g: Graph) -> GraphProperties:
     weakly_connected = len(components) <= 1
     g._props = GraphProperties(no_sources, no_sinks, weakly_connected)
     return g._props
+
+
+def require_regular(g: Graph) -> GraphProperties:
+    """The flags of g, after refusing a graph with a sink or a source.
+
+    K-theory, limit-group classes and the index pairing all need both
+    hypotheses; the error names the first sink (or, failing that, the
+    first source) in declaration order.
+    """
+    props = validate_graph(g)
+    for ok, kind, edges in ((props.no_sinks, "sink", g.out_edges),
+                            (props.no_sources, "source", g.in_edges)):
+        if not ok:
+            v = next(v for v in range(g.n_vertices) if not edges[v])
+            raise HypothesisError(f"graph has a {kind} at vertex {g.vertices[v]!r}; "
+                                  "this needs a graph with no sinks and no sources")
+    return props
 
 
 def enumerate_paths(g: Graph, n: int, end_at=None) -> list:

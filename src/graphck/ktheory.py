@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .afcore import K0FClass, k0f_combine
-from .errors import HypothesisError
-from .graphs import Graph, enumerate_paths, transfer_matrix, validate_graph
+from .graphs import Graph, enumerate_paths, require_regular, transfer_matrix
 from .intmat import (AbelianGroup, IntMatrix, abelian_group_from_cokernel,
                      coset_canonical_form, integer_kernel_basis,
                      smith_normal_form, solve_integer_linear, stabilized_kernel)
@@ -41,15 +40,6 @@ class KTheoryReport:
     k0_generator_images: dict  # vertex name -> CosetClass
 
 
-def _require_no_sinks_sources(g: Graph):
-    props = validate_graph(g)
-    if not props.no_sinks:
-        raise HypothesisError("graph has a sink; K-theory by the vertex matrix needs no sinks")
-    if not props.no_sources:
-        raise HypothesisError("graph has a source; K-theory by the vertex matrix needs no sources")
-    return props
-
-
 def presentation_matrix(g: Graph) -> IntMatrix:
     """1 - B acting on integer column vectors indexed by the vertices."""
     B = transfer_matrix(g)
@@ -58,7 +48,7 @@ def presentation_matrix(g: Graph) -> IntMatrix:
 
 def graph_k_theory(g: Graph) -> KTheoryReport:
     """K_0 = coker(1 - B), K_1 = ker(1 - B)."""
-    _require_no_sinks_sources(g)
+    require_regular(g)
     M = presentation_matrix(g)
     k0 = abelian_group_from_cokernel(M)
     k1 = AbelianGroup(len(integer_kernel_basis(M)), ())
@@ -79,7 +69,7 @@ def j_star(x: K0FClass):
     is the arrow that actually appears in the connecting sequence.
     """
     g = x.graph
-    _require_no_sinks_sources(g)
+    require_regular(g)
     M = presentation_matrix(g)
     coords, moduli = coset_canonical_form(M, x.vec)
     neg_coords, _ = coset_canonical_form(M, tuple(-a for a in x.vec))
@@ -127,7 +117,7 @@ def exactness_report(g: Graph, horizon: int = 4) -> dict:
     integer combinations of evaluation images, with misses reported as
     not certified.
     """
-    props = _require_no_sinks_sources(g)
+    props = require_regular(g)
     B = transfer_matrix(g)
     n = g.n_vertices
 

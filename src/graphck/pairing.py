@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 from .afcore import (GradedProjection, K0FClass, class_of_graded_projection,
                      class_of_projection, k0f_combine, k0f_equal)
 from .algebra import CKElement, is_equal, is_zero
-from .errors import AdmissibilityError, HypothesisError, InternalInvariantError
-from .graphs import Graph, enumerate_paths, validate_graph
+from .errors import AdmissibilityError, InternalInvariantError
+from .graphs import Graph, enumerate_paths, require_regular
 
 ORIENTATION_NOTE = ("pairing = Index of the compressed adjoint isometry "
                     "(positive on path isometries); fixed by the single-vertex closed form")
@@ -116,12 +116,6 @@ class AdmissibleIsometry:
 
     def adjoint(self) -> "AdmissibleIsometry":
         return AdmissibleIsometry(tuple(b.adjoint() for b in self.blocks))
-
-
-def _require_regular(g: Graph):
-    props = validate_graph(g)
-    if not (props.no_sinks and props.no_sources):
-        raise HypothesisError("index pairing needs a graph with no sinks and no sources")
 
 
 def _check_homogeneous_pisom(v: CKElement):
@@ -205,7 +199,7 @@ def aps_kernel_classes(v: CKElement) -> ApsKernelReport:
     classes, minus the cylinder index (which is minus the class of the
     degree-zero subspace).
     """
-    _require_regular(v.graph)
+    require_regular(v.graph)
     d = _check_homogeneous_pisom(v)
     win = _aps_windows(v.graph, d, v.adjoint() * v, v * v.adjoint())
     return _aps_evaluate(v.graph, win, check=True)
@@ -219,7 +213,7 @@ def _simplified_windows(d: int, q_s: CKElement):
 
 def aps_simplified(v: CKElement) -> K0FClass:
     """Evaluate the two-term route on one homogeneous partial isometry."""
-    _require_regular(v.graph)
+    require_regular(v.graph)
     d = _check_homogeneous_pisom(v)
     return windows_to_class(v.graph, _simplified_windows(d, v.adjoint() * v))
 
@@ -250,7 +244,7 @@ def pairing(v) -> PairingReport:
     if isinstance(v, CKElement):
         v = AdmissibleIsometry.of(v)
     g = v.graph
-    _require_regular(g)
+    require_regular(g)
     odd_windows = []
     aps_terms = []
     aps_windows = {"kernel": [], "adjoint_ordinary": [], "adjoint_extended": [],
@@ -311,7 +305,7 @@ def pairing_crosscheck(g: Graph, horizon: int = 4) -> dict:
     Also checks that the pairing of S_mu S_(sigma mu)* is the class of the
     path projection p_mu, the surjectivity mechanism of the index map.
     """
-    _require_regular(g)
+    require_regular(g)
     checked = 0
     failures = []
     for label, elem, mu in crosscheck_generators(g, horizon):
