@@ -11,9 +11,9 @@ independent routes that must agree.
 
 __version__ = "0.1.0"
 
-from .afcore import (GradedProjection, K0FClass, class_of_graded_projection,
-                     class_of_projection, k0f_combine, k0f_describe, k0f_equal,
-                     k0f_is_zero, k0f_zero, k1f)
+from .afcore import (GradedProjection, K0FClass, class_of_projection,
+                     k0f_combine, k0f_describe, k0f_equal, k0f_is_zero,
+                     k0f_zero, k1f)
 from .algebra import (CKElement, CKTerm, ElementClassification,
                       GaussianRational, adjoint, classify, expectation,
                       gauge_component, grade_commutator, is_equal, is_zero,
@@ -21,10 +21,10 @@ from .algebra import (CKElement, CKTerm, ElementClassification,
                       path_action)
 from .cone import (ConeClass, cone_equal, decompose_relations, ev_star,
                    mapping_cone_k_groups, vfa_membership)
-from .errors import (AdmissibilityError, ExprSyntaxError, GraphCKError,
-                     GraphMismatchError, GraphSyntaxError, HypothesisError,
-                     InternalInvariantError, NotAProjectionError,
-                     SinkObstructionError)
+from .errors import (AdmissibilityError, ArgumentRangeError, ExprSyntaxError,
+                     GraphCKError, GraphMismatchError, GraphSyntaxError,
+                     HypothesisError, InternalInvariantError,
+                     NotAProjectionError, SinkObstructionError)
 from .exprs import format_element, parse_element
 from .graphs import (Graph, GraphProperties, Path, enumerate_paths,
                      parse_graph, require_regular, transfer_matrix,
@@ -36,7 +36,6 @@ from .intmat import (AbelianGroup, IntMatrix, SNFResult,
                      stabilized_kernel)
 from .ktheory import (CosetClass, KTheoryReport, exactness_report,
                       graph_k_theory, j_star)
-from .pairing import (AdmissibleIsometry, ApsKernelReport, PairingReport,
-                      aps_kernel_classes, aps_simplified, homogeneous_pairing,
-                      pairing, pairing_crosscheck, pairing_value)
+from .pairing import (AdmissibleIsometry, PairingReport, pairing,
+                      pairing_crosscheck, pairing_value)
 from .render import render_report, to_jsonable

@@ -89,33 +89,13 @@ def _block_rank_vector(q: CKElement, m: int) -> tuple:
     return tuple(vec)
 
 
-def class_of_projection(q: CKElement, check: bool = True) -> K0FClass:
-    """Class of a projection in the core: block ranks at its natural level."""
-    require_regular(q.graph)
-    if check and q.terms:
-        info = classify(q)
-        if not info.in_F:
-            raise NotAProjectionError("element is not in the core (nonzero gauge degree)")
-        if not info.is_projection:
-            raise NotAProjectionError("element is not a projection")
-    if not q.terms:
-        return k0f_zero(q.graph)
-    m = q.min_level()
-    return K0FClass(q.graph, m, _block_rank_vector(q, m))
+def class_of_projection(q: CKElement, k: int = 0, check: bool = True) -> K0FClass:
+    """Graded class [q Phi_k] of a projection q in the core, by the unified
+    rule; k = 0 is the plain class [q].
 
-
-def class_of_graded_projection(gp, k: int = None, check: bool = True) -> K0FClass:
-    """Class of q cutting the degree-k graded piece, by the unified rule.
-
-    Accepts a GradedProjection or an (element, k) pair.  Expands q at
-    m = max(k, 0, natural level) and returns the rank vector at level m - k.
+    Expands q at m = max(k, 0, natural level) and returns the rank vector
+    at level m - k.
     """
-    if isinstance(gp, GradedProjection):
-        q, k = gp.q, gp.k
-    else:
-        q = gp
-        if k is None:
-            raise TypeError("missing grading index")
     require_regular(q.graph)
     if check and q.terms:
         info = classify(q)

@@ -15,9 +15,9 @@ from .afcore import class_of_projection, k0f_describe
 from .algebra import classify, is_zero
 from .cone import (ConeClass, cone_equal, decompose_relations, ev_star,
                    mapping_cone_k_groups)
-from .errors import (AdmissibilityError, ExprSyntaxError, GraphMismatchError,
-                     GraphSyntaxError, HypothesisError, NotAProjectionError,
-                     SinkObstructionError)
+from .errors import (AdmissibilityError, ArgumentRangeError, ExprSyntaxError,
+                     GraphMismatchError, GraphSyntaxError, HypothesisError,
+                     NotAProjectionError, SinkObstructionError)
 from .exprs import format_element, parse_element
 from .graphs import parse_graph, validate_graph, vertex_matrix
 from .ktheory import exactness_report, graph_k_theory
@@ -26,8 +26,8 @@ from .render import render_report
 
 _USAGE_ERRORS = (GraphSyntaxError, ExprSyntaxError, GraphMismatchError,
                  SinkObstructionError, HypothesisError, AdmissibilityError,
-                 NotAProjectionError, FileNotFoundError, IsADirectoryError,
-                 PermissionError)
+                 NotAProjectionError, ArgumentRangeError, FileNotFoundError,
+                 IsADirectoryError, PermissionError)
 
 
 def _load_graph(path: str):
@@ -103,13 +103,11 @@ def _cmd_pair(args):
     report = pairing(AdmissibleIsometry(blocks))
     payload = {"command": "pair", "graph": _graph_summary(g),
                "orientation": report.orientation, "agree": report.agree}
-    routes = {"odd": report.odd_route, "aps": report.aps_route,
-              "simplified": report.simplified_route}
     if args.route == "all":
-        payload["routes"] = routes
+        payload["routes"] = report.routes
         payload["breakdown"] = report.per_route_breakdown
     else:
-        payload["routes"] = {args.route: routes[args.route]}
+        payload["routes"] = {args.route: report.routes[args.route]}
         payload["breakdown"] = {args.route: report.per_route_breakdown[args.route]}
     return payload
 
@@ -125,11 +123,12 @@ def _cmd_cone_ev(args):
 
 def _cmd_cone_equal(args):
     g = _load_graph(args.graph)
-    a = ConeClass.of(parse_element(args.expr_a, g))
-    b = ConeClass.of(parse_element(args.expr_b, g))
+    left = parse_element(args.expr_a, g)
+    a = ConeClass.of(left)
+    right = parse_element(args.expr_b, g)
+    b = ConeClass.of(right)
     return {"command": "cone-equal", "graph": _graph_summary(g),
-            "left": format_element(parse_element(args.expr_a, g)),
-            "right": format_element(parse_element(args.expr_b, g)),
+            "left": format_element(left), "right": format_element(right),
             "verdict": cone_equal(a, b),
             "left_invariants": {"ev": ev_star(a), "index": a.index_class},
             "right_invariants": {"ev": ev_star(b), "index": b.index_class}}
@@ -153,6 +152,8 @@ def _cmd_cone_ktheory(args):
 
 
 def _cmd_crosscheck(args):
+    if args.horizon < 0:
+        raise ArgumentRangeError(f"--horizon must be nonnegative, got {args.horizon}")
     g = _load_graph(args.graph)
     routes = pairing_crosscheck(g, horizon=args.horizon)
     exact = exactness_report(g, horizon=args.horizon)
@@ -173,6 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("graph", help="graph definition file")
         if exprs == 1:
             p.add_argument("expr", help="element expression")
+        elif exprs == 2:
+            p.add_argument("expr_a", help="first element expression")
+            p.add_argument("expr_b", help="second element expression")
         elif exprs == "many":
             p.add_argument("exprs", nargs="+", metavar="expr",
                            help="element expressions (direct-sum blocks)")
@@ -190,11 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("pair", help="index pairing by all three routes"), exprs="many")
     p.add_argument("--route", choices=("odd", "aps", "simplified", "all"), default="all")
     common(sub.add_parser("cone-ev", help="evaluation invariant of a cone class"), exprs="many")
-    p = sub.add_parser("cone-equal", help="decide equality of two cone classes")
-    p.add_argument("graph")
-    p.add_argument("expr_a")
-    p.add_argument("expr_b")
-    p.add_argument("--format", choices=("json", "text"), default="json")
+    common(sub.add_parser("cone-equal", help="decide equality of two cone classes"), exprs=2)
     common(sub.add_parser("cone-decompose", help="generator decomposition of a word class"),
            exprs=1)
     common(sub.add_parser("cone-ktheory", help="K-groups of the mapping cone"))

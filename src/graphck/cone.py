@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .afcore import (K0FClass, class_of_projection, k0f_combine, k0f_describe,
                      k0f_equal)
-from .algebra import CKElement, is_equal
+from .algebra import CKElement
 from .errors import InternalInvariantError
 from .graphs import Graph, Path, require_regular, transfer_matrix, validate_graph
 from .intmat import AbelianGroup
@@ -24,23 +24,12 @@ from .pairing import AdmissibleIsometry, check_admissible, pairing
 def vfa_membership(v) -> tuple:
     """Whether v (an element or a list of blocks) represents a cone class.
 
-    Returns (flag, diagnostics).  Membership needs each block to satisfy
-    v v* v = v with v*v and vv* in the core; the admissibility check also
-    enforces orthogonality of homogeneous components, which is what makes
+    Returns (flag, diagnostics), the diagnostics of check_admissible:
+    membership needs each block to satisfy v v* v = v with v*v and vv* in
+    the core, and the orthogonality of homogeneous components is what makes
     the index routes applicable.
     """
-    blocks = [v] if isinstance(v, CKElement) else list(v)
-    diagnostics = []
-    for idx, b in enumerate(blocks):
-        tag = f"block {idx}"
-        if not is_equal(b * b.adjoint() * b, b):
-            diagnostics.append(f"{tag}: v v* v != v")
-        if (b.adjoint() * b).degrees() - {0}:
-            diagnostics.append(f"{tag}: v*v not in the core")
-        if (b * b.adjoint()).degrees() - {0}:
-            diagnostics.append(f"{tag}: vv* not in the core")
-    if not diagnostics:
-        diagnostics = check_admissible(blocks)
+    diagnostics = check_admissible([v] if isinstance(v, CKElement) else list(v))
     return (not diagnostics, diagnostics)
 
 

@@ -29,6 +29,10 @@ class ExprSyntaxError(GraphCKError):
         super().__init__(message)
 
 
+class ArgumentRangeError(GraphCKError):
+    """A command argument is outside its range (a negative horizon)."""
+
+
 class GraphMismatchError(GraphCKError):
     """Operands live over different ambient graphs."""
 

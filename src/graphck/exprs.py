@@ -25,6 +25,10 @@ from .graphs import Graph
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/]))")
 
+# Nesting bound for "(...)" and "adj(...)": at three frames per level it
+# keeps deep input a syntax error, far from the interpreter's recursion limit.
+_MAX_DEPTH = 100
+
 
 def _tokenize(text: str):
     tokens = []
@@ -50,6 +54,7 @@ class _Parser:
         self.graph = graph
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def _peek(self, offset=0):
         i = self.pos + offset
@@ -76,6 +81,9 @@ class _Parser:
         return result
 
     def parse_expr(self) -> CKElement:
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            self._fail(f"expression nested more than {_MAX_DEPTH} levels deep")
         negate = False
         if self._peek()[:2] == ("SYM", "-"):
             self._next()
@@ -87,6 +95,7 @@ class _Parser:
             op = self._next()[1]
             term = self.parse_term()
             acc = acc + term if op == "+" else acc - term
+        self.depth -= 1
         return acc
 
     def parse_term(self) -> CKElement:

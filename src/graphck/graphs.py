@@ -255,12 +255,8 @@ def validate_graph(g: Graph) -> GraphProperties:
 
 
 def require_regular(g: Graph) -> GraphProperties:
-    """The flags of g, after refusing a graph with a sink or a source.
-
-    K-theory, limit-group classes and the index pairing all need both
-    hypotheses; the error names the first sink (or, failing that, the
-    first source) in declaration order.
-    """
+    """The flags of g; HypothesisError naming the first sink, else the first
+    source, since K-theory, limit classes and the pairing need neither."""
     props = validate_graph(g)
     for ok, kind, edges in ((props.no_sinks, "sink", g.out_edges),
                             (props.no_sources, "source", g.in_edges)):

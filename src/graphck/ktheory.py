@@ -95,19 +95,6 @@ def _verify_j_surjective(g: Graph) -> bool:
     return sum(1 for d in diag if d == 1) == n
 
 
-def edge_generator_ev_vector(g: Graph, alpha_range: int, alpha_len: int, level: int) -> tuple:
-    """Evaluation image of an edge-times-path-projection generator, aligned.
-
-    The generator with path range w and |alpha| = m has evaluation class
-    [e_w, m] - [e_w, m+1] = [(B-1)e_w, m+1]; this returns that vector
-    pushed to `level` (which must be >= m+1).
-    """
-    B = transfer_matrix(g)
-    e_w = tuple(1 if i == alpha_range else 0 for i in range(g.n_vertices))
-    vec = tuple(a - b for a, b in zip(B.apply(e_w), e_w))
-    return B.apply_power(level - alpha_len - 1, vec)
-
-
 def exactness_report(g: Graph, horizon: int = 4) -> dict:
     """Check the connecting sequence on the edge-level generators.
 
@@ -145,11 +132,15 @@ def exactness_report(g: Graph, horizon: int = 4) -> dict:
     level = horizon + 1
     columns = []
     for e in range(g.n_edges):
+        # w = r(alpha) over the paths alpha from r(e): S_e P_alpha has evaluation
+        # class [e_w, m] - [e_w, m+1] = [(B-1)e_w, m+1], m = |alpha|
+        reachable = {g.edge_range[e]}
         for length in range(0, horizon + 1):
-            w_candidates = {alpha.range for alpha in enumerate_paths(g, length)
-                            if alpha.source == g.edge_range[e]}
-            for w in sorted(w_candidates):
-                columns.append(edge_generator_ev_vector(g, w, length, level))
+            for w in sorted(reachable):
+                e_w = tuple(1 if i == w else 0 for i in range(n))
+                vec = tuple(a - b for a, b in zip(B.apply(e_w), e_w))
+                columns.append(B.apply_power(level - length - 1, vec))
+            reachable = {g.edge_range[f] for u in reachable for f in g.out_edges[u]}
     columns.extend(stabilized_kernel(B))
     samples = []
     M1B = presentation_matrix(g)

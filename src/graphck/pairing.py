@@ -29,10 +29,10 @@ sum add.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .afcore import (GradedProjection, K0FClass, class_of_graded_projection,
-                     class_of_projection, k0f_combine, k0f_equal)
+from .afcore import (GradedProjection, K0FClass, class_of_projection,
+                     k0f_combine, k0f_equal)
 from .algebra import CKElement, is_equal, is_zero
 from .errors import AdmissibilityError, InternalInvariantError
 from .graphs import Graph, enumerate_paths, require_regular
@@ -118,104 +118,38 @@ class AdmissibleIsometry:
         return AdmissibleIsometry(tuple(b.adjoint() for b in self.blocks))
 
 
-def _check_homogeneous_pisom(v: CKElement):
-    degs = v.degrees()
-    if len(degs) > 1:
-        raise AdmissibilityError([f"element is not gauge homogeneous (degrees {sorted(degs)})"])
-    if not is_equal(v * v.adjoint() * v, v):
-        raise AdmissibilityError(["element is not a partial isometry"])
-    return next(iter(degs)) if degs else 0
+# Sign of each half-line summand in the route value: the kernel, minus the
+# three adjoint kernels, minus the cylinder index.
+_APS_SIGNS = {"kernel": 1, "adjoint_ordinary": -1, "adjoint_extended": -1,
+              "adjoint_trivial": -1, "index_cylinder": -1}
 
 
-def _odd_windows(d: int, q_s: CKElement, q_r: CKElement) -> list:
-    if d > 0:
-        return [(1, GradedProjection(q_r, j)) for j in range(0, d)]
-    if d < 0:
-        return [(-1, GradedProjection(q_s, j)) for j in range(0, -d)]
-    return []
+def _route_windows(g: Graph, d: int, q_s: CKElement, q_r: CKElement) -> dict:
+    """Signed windows (sign, GradedProjection) of the three routes for one
+    component of degree d: odd, the five half-line summands, simplified.
 
-
-def homogeneous_pairing(v: CKElement, d: int = None) -> list:
-    """Windows of the odd route for a homogeneous partial isometry.
-
-    Returns (sign, GradedProjection) pairs; the class of their sum is the
-    pairing.  Degree 0 pairs to nothing; positive degree d contributes the
-    range projection on degrees [0, d); negative degree contributes minus
-    the source projection on degrees [0, -d).
+    Each route is built from (d, q_s, q_r) alone, never from another
+    route's windows: the agreement of the routes is the cross-check.
     """
-    checked = _check_homogeneous_pisom(v)
-    if d is None:
-        d = checked
-    elif v.terms and d != checked:
-        raise AdmissibilityError([f"declared degree {d} but element has degree {checked}"])
-    if not v.terms:
-        return []
-    return _odd_windows(d, v.adjoint() * v, v * v.adjoint())
+    one = CKElement.unit(g)
+    if d > 0:
+        odd = [(1, GradedProjection(q_r, j)) for j in range(0, d)]
+    else:
+        odd = [(-1, GradedProjection(q_s, j)) for j in range(0, -d)]
+    aps = {"kernel": [(1, GradedProjection(q_s, j)) for j in range(1 - d, 0)],
+           "adjoint_ordinary": [(1, GradedProjection(q_s, j)) for j in range(0, -d)],
+           "adjoint_extended": [(1, GradedProjection(q_s, -d))] if d <= 0 else [],
+           "adjoint_trivial": [(1, GradedProjection(one - q_r, 0))],
+           "index_cylinder": [(-1, GradedProjection(one, 0))]}
+    simplified = ([(1, GradedProjection(q_s, j)) for j in range(-d, 0)]
+                  + [(-1, GradedProjection(q_s, j)) for j in range(0, -d)])
+    return {"odd": odd, "aps": aps, "simplified": simplified}
 
 
 def windows_to_class(g: Graph, windows, check: bool = True) -> K0FClass:
-    return k0f_combine(g, [(sign, class_of_graded_projection(gp, check=check))
-                           for sign, gp in windows])
-
-
-@dataclass(frozen=True)
-class ApsKernelReport:
-    """Kernel and cokernel data of the half-line route for one component."""
-
-    ker_class: K0FClass
-    adjoint_kernel_classes: tuple  # ordinary, extended, trivial-extended
-    index_cylinder: K0FClass
-    value: K0FClass
-    windows: dict = field(compare=False)
-
-
-def _aps_windows(g: Graph, d: int, q_s: CKElement, q_r: CKElement):
-    """Window lists of the half-line route before class evaluation."""
-    one = CKElement.unit(g)
-    ker = [(1, GradedProjection(q_s, j)) for j in range(1 - d, 0)]
-    adj_ordinary = [(1, GradedProjection(q_s, j)) for j in range(0, -d)]
-    adj_extended = [(1, GradedProjection(q_s, -d))] if d <= 0 else []
-    adj_trivial = [(1, GradedProjection(one - q_r, 0))]
-    cylinder = [(-1, GradedProjection(one, 0))]
-    return {"kernel": ker, "adjoint_ordinary": adj_ordinary,
-            "adjoint_extended": adj_extended, "adjoint_trivial": adj_trivial,
-            "index_cylinder": cylinder}
-
-
-def _aps_evaluate(g: Graph, win, check: bool) -> ApsKernelReport:
-    ker_class = windows_to_class(g, win["kernel"], check=check)
-    adj_classes = tuple(windows_to_class(g, win[k], check=check)
-                        for k in ("adjoint_ordinary", "adjoint_extended", "adjoint_trivial"))
-    cylinder = windows_to_class(g, win["index_cylinder"], check=check)
-    value = k0f_combine(g, [(1, ker_class)] + [(-1, c) for c in adj_classes]
-                        + [(-1, cylinder)])
-    return ApsKernelReport(ker_class, adj_classes, cylinder, value, win)
-
-
-def aps_kernel_classes(v: CKElement) -> ApsKernelReport:
-    """Evaluate the half-line route on one homogeneous partial isometry.
-
-    The route value is kernel class, minus the three adjoint-kernel
-    classes, minus the cylinder index (which is minus the class of the
-    degree-zero subspace).
-    """
-    require_regular(v.graph)
-    d = _check_homogeneous_pisom(v)
-    win = _aps_windows(v.graph, d, v.adjoint() * v, v * v.adjoint())
-    return _aps_evaluate(v.graph, win, check=True)
-
-
-def _simplified_windows(d: int, q_s: CKElement):
-    pos = [(1, GradedProjection(q_s, j)) for j in range(-d, 0)]
-    neg = [(-1, GradedProjection(q_s, j)) for j in range(0, -d)]
-    return pos + neg
-
-
-def aps_simplified(v: CKElement) -> K0FClass:
-    """Evaluate the two-term route on one homogeneous partial isometry."""
-    require_regular(v.graph)
-    d = _check_homogeneous_pisom(v)
-    return windows_to_class(v.graph, _simplified_windows(d, v.adjoint() * v))
+    """The class of a signed window list: the sum of sign * [q Phi_k]."""
+    return k0f_combine(g, [(sign, class_of_projection(w.q, w.k, check=check))
+                           for sign, w in windows])
 
 
 @dataclass(frozen=True)
@@ -226,6 +160,11 @@ class PairingReport:
     agree: bool
     per_route_breakdown: dict
     orientation: str = ORIENTATION_NOTE
+
+    @property
+    def routes(self) -> dict:
+        return {"odd": self.odd_route, "aps": self.aps_route,
+                "simplified": self.simplified_route}
 
     @property
     def value(self) -> K0FClass:
@@ -245,38 +184,24 @@ def pairing(v) -> PairingReport:
         v = AdmissibleIsometry.of(v)
     g = v.graph
     require_regular(g)
-    odd_windows = []
-    aps_terms = []
-    aps_windows = {"kernel": [], "adjoint_ordinary": [], "adjoint_extended": [],
-                   "adjoint_trivial": [], "index_cylinder": []}
-    simp_windows = []
+    breakdown = {"odd": [], "aps": {key: [] for key in _APS_SIGNS}, "simplified": []}
     for d, part in v.components():
-        q_s = part.adjoint() * part
-        q_r = part * part.adjoint()
-        odd_windows.extend(_odd_windows(d, q_s, q_r))
-        win = _aps_windows(g, d, q_s, q_r)
-        rep = _aps_evaluate(g, win, check=False)
-        aps_terms.append((1, rep.value))
-        for key, wins in win.items():
-            aps_windows[key].extend(wins)
-        simp_windows.extend(_simplified_windows(d, q_s))
-    odd = windows_to_class(g, odd_windows, check=False)
-    aps = k0f_combine(g, aps_terms)
-    simp = windows_to_class(g, simp_windows, check=False)
+        table = _route_windows(g, d, part.adjoint() * part, part * part.adjoint())
+        breakdown["odd"] += table["odd"]
+        breakdown["simplified"] += table["simplified"]
+        for key, windows in table["aps"].items():
+            breakdown["aps"][key] += windows
+    aps_windows = [(sign * s, w) for key, sign in _APS_SIGNS.items()
+                   for s, w in breakdown["aps"][key]]
+    odd = windows_to_class(g, breakdown["odd"], check=False)
+    aps = windows_to_class(g, aps_windows, check=False)
+    simp = windows_to_class(g, breakdown["simplified"], check=False)
     agree = k0f_equal(odd, aps) and k0f_equal(odd, simp)
-    breakdown = {"odd": odd_windows, "aps": aps_windows, "simplified": simp_windows}
     return PairingReport(odd, aps, simp, agree, breakdown)
 
 
 def pairing_value(v) -> K0FClass:
     return pairing(v).value
-
-
-def index_of_cone_generator(g: Graph, edge: int, alpha) -> CKElement:
-    """The generator S_e P_alpha as an element (may be zero)."""
-    e_elem = CKElement.edge_isometry(g, edge)
-    p_alpha = CKElement.path_projection(g, alpha)
-    return e_elem * p_alpha
 
 
 def crosscheck_generators(g: Graph, horizon: int):
@@ -290,7 +215,7 @@ def crosscheck_generators(g: Graph, horizon: int):
             for alpha in enumerate_paths(g, n):
                 if alpha.source != g.edge_range[e]:
                     continue
-                elem = index_of_cone_generator(g, e, alpha)
+                elem = CKElement.edge_isometry(g, e) * CKElement.path_projection(g, alpha)
                 gens.append((f"S({g.edge_names[e]})P[{alpha}]", elem, None))
     for n in range(1, horizon + 1):
         for mu in enumerate_paths(g, n):

@@ -16,7 +16,7 @@ from .cone import ConeClass, ev_star
 from .exprs import format_element
 from .intmat import AbelianGroup, IntMatrix
 from .ktheory import CosetClass, KTheoryReport
-from .pairing import AdmissibleIsometry, ApsKernelReport, PairingReport
+from .pairing import AdmissibleIsometry, PairingReport
 
 
 def to_jsonable(obj):
@@ -59,17 +59,10 @@ def to_jsonable(obj):
                 "matrix": to_jsonable(obj.presentation_matrix),
                 "K0_generator_images": to_jsonable(obj.k0_generator_images)}
     if isinstance(obj, PairingReport):
-        return {"routes": {"odd": to_jsonable(obj.odd_route),
-                           "aps": to_jsonable(obj.aps_route),
-                           "simplified": to_jsonable(obj.simplified_route)},
+        return {"routes": to_jsonable(obj.routes),
                 "agree": obj.agree,
                 "breakdown": to_jsonable(obj.per_route_breakdown),
                 "orientation": obj.orientation}
-    if isinstance(obj, ApsKernelReport):
-        return {"kernel": to_jsonable(obj.ker_class),
-                "adjoint_kernels": to_jsonable(list(obj.adjoint_kernel_classes)),
-                "index_cylinder": to_jsonable(obj.index_cylinder),
-                "value": to_jsonable(obj.value)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):

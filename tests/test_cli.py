@@ -9,12 +9,16 @@ from graphck.pairing import PairingReport
 
 from corpus import LOOP_TEXT, O2_TEXT, O3_TEXT, SINK_TEXT, TWO_VERTEX_TEXT, o2
 
+# vertex u has an out-edge but no in-edge: a source, and no sink anywhere
+SOURCE_TEXT = "vertex u\nvertex v\nedge a u v\nedge b v v"
+
 
 @pytest.fixture
 def graphs(tmp_path):
     files = {}
     for name, text in [("o2", O2_TEXT), ("o3", O3_TEXT), ("loop", LOOP_TEXT),
-                       ("two", TWO_VERTEX_TEXT), ("sink", SINK_TEXT)]:
+                       ("two", TWO_VERTEX_TEXT), ("sink", SINK_TEXT),
+                       ("source", SOURCE_TEXT)]:
         path = tmp_path / f"{name}.graph"
         path.write_text(text + "\n", encoding="utf-8")
         files[name] = str(path)
@@ -132,6 +136,35 @@ def test_hypothesis_violation_exits_2(graphs, capsys):
     code, data = run_json(capsys, ["cone-ktheory", graphs["sink"]])
     assert code == 2
     assert data["error"]["type"] == "HypothesisError"
+
+
+def test_regularity_error_names_condition_and_vertex(graphs, capsys):
+    for graph, expected in (("sink", "graph has a sink at vertex 'w'"),
+                            ("source", "graph has a source at vertex 'u'")):
+        for argv in (["graph-ktheory", graphs[graph]],
+                     ["cone-ktheory", graphs[graph]],
+                     ["class-af", graphs[graph], "p(v)"],
+                     ["pair", graphs[graph], "S(a)" if graph == "source" else "S(e)"],
+                     ["crosscheck", graphs[graph], "--horizon", "1"]):
+            code, data = run_json(capsys, argv)
+            assert code == 2, argv
+            assert data["error"]["type"] == "HypothesisError", argv
+            assert data["error"]["message"].startswith(expected), argv
+
+
+def test_negative_horizon_exits_2(graphs, capsys):
+    code, data = run_json(capsys, ["crosscheck", graphs["o2"], "--horizon", "-1"])
+    assert code == 2
+    assert data["error"]["type"] == "ArgumentRangeError"
+    assert "-1" in data["error"]["message"]
+
+
+def test_deep_nesting_exits_2(graphs, capsys):
+    expr = "(" * 3000 + "p(v)" + ")" * 3000
+    code, data = run_json(capsys, ["elem-check", graphs["o2"], expr])
+    assert code == 2 and data["error"]["type"] == "ExprSyntaxError"
+    code, data = run_json(capsys, ["elem-check", graphs["o2"], "adj(" * 3000 + "p(v)" + ")" * 3000])
+    assert code == 2 and data["error"]["type"] == "ExprSyntaxError"
 
 
 def test_parse_error_exits_2(graphs, capsys, tmp_path):

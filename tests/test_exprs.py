@@ -5,7 +5,7 @@ import pytest
 
 from graphck.algebra import CKElement, GaussianRational, is_equal, is_zero
 from graphck.errors import ExprSyntaxError
-from graphck.exprs import format_element, parse_element
+from graphck.exprs import _MAX_DEPTH, format_element, parse_element
 
 from corpus import o2, random_element, two_vertex
 
@@ -56,6 +56,16 @@ def test_parse_errors():
                 "1/0 p(v)", "S(a) S(b)", "adj()"):
         with pytest.raises(ExprSyntaxError):
             parse_element(bad, g)
+
+
+def test_nesting_depth_bound():
+    g = o2()
+    pv = CKElement.vertex_projection(g, "v")
+    inner = _MAX_DEPTH - 1  # the top-level expression is one level
+    assert is_equal(parse_element("(" * inner + "p(v)" + ")" * inner, g), pv)
+    assert is_equal(parse_element("adj(" * inner + "p(v)" + ")" * inner, g), pv)
+    with pytest.raises(ExprSyntaxError, match="nested"):
+        parse_element("(" * _MAX_DEPTH + "p(v)" + ")" * _MAX_DEPTH, g)
 
 
 def test_format_round_trip_random():

@@ -3,18 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from graphck.afcore import (K0FClass, class_of_projection, k0f_equal,
-                            k0f_is_zero, k0f_value_in_closed_form)
-from graphck.algebra import CKElement, gauge_component, is_equal
+from graphck.afcore import (K0FClass, class_of_projection, k0f_combine,
+                            k0f_equal, k0f_is_zero, k0f_value_in_closed_form)
+from graphck.algebra import CKElement, classify, gauge_component, is_equal
 from graphck.errors import AdmissibilityError, HypothesisError
 from graphck.graphs import enumerate_paths, parse_graph
-from graphck.pairing import (AdmissibleIsometry, aps_kernel_classes,
-                             aps_simplified, check_admissible,
-                             homogeneous_pairing, pairing, pairing_crosscheck,
-                             pairing_value)
+from graphck.pairing import (AdmissibleIsometry, check_admissible,
+                             crosscheck_generators, pairing, pairing_crosscheck,
+                             pairing_value, windows_to_class)
 
 from corpus import (SINK_TEXT, cuntz, cycle3_chords, o2, o3, random_element,
-                    single_loop, two_vertex)
+                    regular_corpus, single_loop, two_vertex)
+
+ADJOINT_KERNELS = ("adjoint_ordinary", "adjoint_extended", "adjoint_trivial")
 
 
 def test_pairing_cuntz_closed_form():
@@ -30,15 +31,22 @@ def test_pairing_cuntz_closed_form():
 def test_pairing_vanishes_on_core():
     g = o2()
     p = CKElement.path_projection(g, g.path("a", "b"))
-    assert homogeneous_pairing(p) == []
+    assert pairing(p).per_route_breakdown["odd"] == []
     assert k0f_is_zero(pairing_value(p))
     w = CKElement.word(g, g.path("a", "b"), g.path("b", "a"))
     assert k0f_is_zero(pairing_value(w))
 
 
 def _sum(g, a, b):
-    from graphck.afcore import k0f_combine
     return k0f_combine(g, [(1, a), (1, b)])
+
+
+def _aps_summands(v):
+    """pairing(v) and the class of each half-line summand of its breakdown,
+    evaluated with the projection check on."""
+    rep = pairing(v)
+    return rep, {key: windows_to_class(v.graph, windows)
+                 for key, windows in rep.per_route_breakdown["aps"].items()}
 
 
 def test_pairing_adjoint_antisymmetry():
@@ -103,12 +111,12 @@ def test_admissibility_diagnostic_names_degrees():
     assert any("degrees 1 and 2" in d for d in diags)
 
 
-def test_homogeneous_pairing_requires_homogeneous():
+def test_pairing_rejects_overlapping_components():
     g = o2()
     sa = CKElement.edge_isometry(g, "a")
     v = sa + CKElement.path_isometry(g, g.path("b", "a", "a"))
     with pytest.raises(AdmissibilityError):
-        homogeneous_pairing(v)
+        pairing(v)
 
 
 def test_pairing_requires_regular_graph():
@@ -120,41 +128,59 @@ def test_pairing_requires_regular_graph():
 def test_aps_kernel_breakdown_cuntz():
     g = o3()
     v = CKElement.path_isometry(g, g.path("a", "a"))
-    rep = aps_kernel_classes(v)
-    assert k0f_value_in_closed_form(rep.ker_class) == Fraction(1, 3)
-    ords = [k0f_value_in_closed_form(c) for c in rep.adjoint_kernel_classes]
+    rep, aps = _aps_summands(v)
+    assert k0f_value_in_closed_form(aps["kernel"]) == Fraction(1, 3)
+    ords = [k0f_value_in_closed_form(aps[key]) for key in ADJOINT_KERNELS]
     assert ords == [0, 0, Fraction(8, 9)]
-    assert k0f_value_in_closed_form(rep.index_cylinder) == -1
-    assert k0f_value_in_closed_form(rep.value) == Fraction(4, 9)
+    assert k0f_value_in_closed_form(aps["index_cylinder"]) == -1
+    assert k0f_value_in_closed_form(rep.routes["aps"]) == Fraction(4, 9)
+    # the route value is the kernel minus the adjoint kernels and the cylinder
+    value = k0f_combine(g, [(1, aps["kernel"])] + [(-1, aps[key]) for key in ADJOINT_KERNELS]
+                        + [(-1, aps["index_cylinder"])])
+    assert k0f_equal(value, rep.routes["aps"])
 
 
 def test_aps_kernel_zero_degree():
     g = o3()
     q = CKElement.path_projection(g, g.path("a"))
-    rep = aps_kernel_classes(q)
-    assert k0f_is_zero(rep.ker_class)
-    assert k0f_is_zero(rep.value)
+    rep, aps = _aps_summands(q)
+    assert k0f_is_zero(aps["kernel"])
+    assert k0f_is_zero(rep.routes["aps"])
 
 
 def test_aps_single_loop():
     g = single_loop()
     se = CKElement.edge_isometry(g, "e")
-    rep = aps_kernel_classes(se)
-    assert k0f_is_zero(rep.ker_class)
+    rep, aps = _aps_summands(se)
+    assert k0f_is_zero(aps["kernel"])
     # 1 - vv* = 0 in the one-vertex unital case: adjoint kernels all vanish
-    assert all(k0f_is_zero(c) for c in rep.adjoint_kernel_classes)
-    assert k0f_equal(rep.value, K0FClass(g, 0, (1,)))
-    assert k0f_equal(aps_simplified(se), K0FClass(g, 0, (1,)))
+    assert all(k0f_is_zero(aps[key]) for key in ADJOINT_KERNELS)
+    assert k0f_equal(rep.routes["aps"], K0FClass(g, 0, (1,)))
+    assert k0f_equal(rep.routes["simplified"], K0FClass(g, 0, (1,)))
 
 
 def test_simplified_route_examples():
     g = o3()
     v = CKElement.path_isometry(g, g.path("a", "a"))
-    assert k0f_value_in_closed_form(aps_simplified(v)) == Fraction(4, 9)
+    assert k0f_value_in_closed_form(pairing(v).routes["simplified"]) == Fraction(4, 9)
     # right multiplication by the source projection changes nothing
     v2 = v * CKElement.vertex_projection(g, "v")
     assert is_equal(v, v2)
-    assert k0f_value_in_closed_form(aps_simplified(v2)) == Fraction(4, 9)
+    assert k0f_value_in_closed_form(pairing(v2).routes["simplified"]) == Fraction(4, 9)
+
+
+def test_breakdown_windows_are_core_projections():
+    # pairing() evaluates its windows without the projection check;
+    # admissibility must make every window a projection in the core
+    for _, g in regular_corpus():
+        for label, elem, _ in crosscheck_generators(g, 2):
+            table = pairing(elem).per_route_breakdown
+            windows = (table["odd"] + table["simplified"]
+                       + [w for ws in table["aps"].values() for w in ws])
+            for _, w in windows:
+                if w.q.terms:
+                    info = classify(w.q)
+                    assert info.in_F and info.is_projection, (label, w)
 
 
 def test_degree_shift_covariance():
