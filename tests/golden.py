@@ -97,8 +97,11 @@ def run_all():
         for name, text in GRAPHS.items():
             paths[name] = str(Path(tmp) / f"{name}.graph")
             Path(paths[name]).write_text(text + "\n", encoding="utf-8")
-        return [{"argv": argv, "exit": code, "stdout": stdout}
-                for argv in cases() for code, stdout in [run_case(argv, paths)]]
+        entries = []
+        for argv in cases():
+            code, stdout = run_case(argv, paths)
+            entries.append({"argv": argv, "exit": code, "stdout": stdout})
+        return entries
 
 
 def _render(obj):
