@@ -14,7 +14,7 @@ from __future__ import annotations
 from .afcore import (K0FClass, class_of_projection, k0f_combine, k0f_describe,
                      k0f_equal)
 from .algebra import CKElement
-from .errors import InternalInvariantError
+from .errors import AdmissibilityError, InternalInvariantError
 from .graphs import Graph, Path, require_regular, transfer_matrix, validate_graph
 from .intmat import AbelianGroup
 from .ktheory import _verify_j_surjective, graph_k_theory
@@ -115,13 +115,14 @@ def decompose_relations(v: CKElement) -> dict:
     S_(a_j) P_(sigma^j(a) tau), all with sign +1.  For a general word
     S_pi S_nu* it splits as [S_pi] - [S_nu].  A projection decomposes to
     nothing.  The certificate re-evaluates pairing and evaluation on both
-    sides; both must match exactly.
+    sides; both must match exactly.  Any other element (several terms, or
+    a coefficient other than 1) is refused with AdmissibilityError.
     """
     if len(v.terms) != 1:
-        raise ValueError("decomposition needs a single spanning word")
+        raise AdmissibilityError(["decomposition needs a single spanning word"])
     (term, coeff), = v.terms.items()
     if coeff.im or coeff.re != 1:
-        raise ValueError("decomposition needs coefficient 1")
+        raise AdmissibilityError(["decomposition needs coefficient 1"])
     g = v.graph
     pi, nu = term.mu, term.nu
     parts = []

@@ -1,4 +1,4 @@
-"""Finite directed graphs: parsing, validation, paths, vertex matrix.
+"""Finite directed graphs: parsing, validation, paths, vertex matrices.
 
 Vertices and edges keep their declaration order, which fixes the row and
 column order of every matrix and vector downstream.
@@ -57,6 +57,8 @@ class Graph:
             tuple(e for e in range(len(self.edge_names)) if self.edge_range[e] == v)
             for v in range(len(self.vertices)))
         self._vertex_matrix = None
+        self._transfer_matrix = None
+        self._presentation_matrix = None
         self._props = None
 
     @property
@@ -303,4 +305,17 @@ def vertex_matrix(g: Graph) -> IntMatrix:
 
 def transfer_matrix(g: Graph) -> IntMatrix:
     """Transpose of the vertex matrix; the connecting map of the AF tower."""
-    return vertex_matrix(g).transpose()
+    if g._transfer_matrix is None:
+        g._transfer_matrix = vertex_matrix(g).transpose()
+    return g._transfer_matrix
+
+
+def presentation_matrix(g: Graph) -> IntMatrix:
+    """1 - B acting on integer column vectors indexed by the vertices.
+
+    One object per graph, so every K-theory query on the graph shares its
+    Smith normal form.
+    """
+    if g._presentation_matrix is None:
+        g._presentation_matrix = IntMatrix.identity(g.n_vertices) - transfer_matrix(g)
+    return g._presentation_matrix

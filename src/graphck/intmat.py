@@ -2,8 +2,16 @@
 
 Everything here works over arbitrary-precision Python ints; no floats
 anywhere.  The central tool is the Smith normal form with unimodular
-transforms tracked, from which cokernel presentations, integer kernels
-and stabilized kernels are read off.
+transforms tracked, from which cokernel presentations, integer kernels,
+stabilized kernels, coset coordinates and integer solutions are read off.
+
+A matrix is factored at most once: the first query on an IntMatrix
+computes its Smith normal form and keeps it on that object, and every
+later query on the same object (cokernel, kernel, coset, solve, or
+smith_normal_form itself) reuses it.  The invariant checks (det U and
+det V are units, U*M*V = D, the diagonal forms a divisibility chain) run
+once per factorisation.  Nothing is cached by matrix contents or at
+module level, so a factorisation lives exactly as long as its matrix.
 
 Pivoting is deterministic (smallest absolute nonzero entry, ties broken
 row-major) so that all downstream reports are byte-stable.
@@ -13,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import add
 
 from .errors import InternalInvariantError
 
@@ -55,6 +65,11 @@ class IntMatrix:
         i, j = idx
         return self.entries[i][j]
 
+    @cached_property
+    def snf(self) -> "SNFResult":
+        """Smith normal form, factored on first use and kept on this matrix."""
+        return _smith_normal_form(self)
+
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries))) if self.entries else self
 
@@ -70,11 +85,18 @@ class IntMatrix:
         return IntMatrix(tuple(tuple(-a for a in row) for row in self.entries))
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Row i of the product accumulates a * (row k of other) over the
+        nonzero entries a = self[i, k]; the transforms are mostly zeros."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        ot = other.transpose().entries
-        return IntMatrix(tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                               for row in self.entries))
+        out = []
+        for row in self.entries:
+            acc = [0] * other.cols
+            for a, orow in zip(row, other.entries):
+                if a:
+                    acc = list(map(add, acc, map(a.__mul__, orow)))
+            out.append(acc)
+        return IntMatrix(tuple(out))
 
     def apply(self, vec) -> tuple:
         """Matrix times column vector."""
@@ -114,11 +136,19 @@ class IntMatrix:
                         break
                 else:
                     return 0
+            # whole-row updates: left of column k both rows are already zero;
+            # a row with a zero in column k is only rescaled, or kept as is
+            # when the pivot equals the previous one
+            pivot_row = m[k]
+            pivot = pivot_row[k]
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
+                row = m[i]
+                f = row[k]
+                if f:
+                    m[i] = [(a * pivot - f * b) // prev for a, b in zip(row, pivot_row)]
+                elif pivot != prev:
+                    m[i] = [a * pivot // prev for a in row]
+            prev = pivot
         return sign * m[n - 1][n - 1]
 
     def rank(self) -> int:
@@ -221,11 +251,18 @@ def _min_abs_pivot(m, t, rows, cols):
 
 
 def smith_normal_form(M: IntMatrix) -> SNFResult:
-    """Diagonalize M by unimodular row and column operations.
+    """U, D, V with U*M*V = D, U and V unimodular, D diagonal with
+    nonnegative entries in a divisibility chain d_1 | d_2 | ....
 
-    Returns U, D, V with U*M*V = D, D diagonal with nonnegative entries in a
-    divisibility chain d_1 | d_2 | ...; deterministic for a given input.
+    Factored on the first call for M and shared by every later query on
+    the same matrix object.
     """
+    return M.snf
+
+
+def _smith_normal_form(M: IntMatrix) -> SNFResult:
+    """Diagonalize M by unimodular row and column operations; deterministic
+    for a given input, and checked once here and in SNFResult."""
     rows, cols = M.rows, M.cols
     m = [list(r) for r in M.entries]
     u = [list(r) for r in IntMatrix.identity(rows).entries]

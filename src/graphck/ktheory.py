@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .afcore import K0FClass, k0f_combine
-from .graphs import Graph, enumerate_paths, require_regular, transfer_matrix
+from .graphs import (Graph, enumerate_paths, presentation_matrix, require_regular,
+                     transfer_matrix)
 from .intmat import (AbelianGroup, IntMatrix, abelian_group_from_cokernel,
                      coset_canonical_form, integer_kernel_basis,
                      smith_normal_form, solve_integer_linear, stabilized_kernel)
@@ -38,12 +39,6 @@ class KTheoryReport:
     k1: AbelianGroup
     presentation_matrix: IntMatrix
     k0_generator_images: dict  # vertex name -> CosetClass
-
-
-def presentation_matrix(g: Graph) -> IntMatrix:
-    """1 - B acting on integer column vectors indexed by the vertices."""
-    B = transfer_matrix(g)
-    return IntMatrix.identity(g.n_vertices) - B
 
 
 def graph_k_theory(g: Graph) -> KTheoryReport:
@@ -110,9 +105,10 @@ def exactness_report(g: Graph, horizon: int = 4) -> dict:
 
     generators = []
     composite_failures = []
+    paths = [enumerate_paths(g, length) for length in range(horizon + 1)]
     for e in range(g.n_edges):
-        for length in range(0, horizon + 1):
-            for alpha in enumerate_paths(g, length):
+        for length, alphas in enumerate(paths):
+            for alpha in alphas:
                 if alpha.source != g.edge_range[e]:
                     continue  # S_e P_alpha = 0
                 label = f"S({g.edge_names[e]})P[{alpha}]"

@@ -1,13 +1,16 @@
 import json
+import random
 
 import pytest
 
 from graphck.cli import run_command
+from graphck.intmat import SNFResult
 from graphck.render import render_report
 from graphck.afcore import k0f_zero
 from graphck.pairing import PairingReport
 
-from corpus import LOOP_TEXT, O2_TEXT, O3_TEXT, SINK_TEXT, TWO_VERTEX_TEXT, o2
+from corpus import (CYCLE3_TEXT, LOOP_TEXT, O2_TEXT, O3_TEXT, SINK_TEXT,
+                    TWO_VERTEX_TEXT, o2)
 
 # vertex u has an out-edge but no in-edge: a source, and no sink anywhere
 SOURCE_TEXT = "vertex u\nvertex v\nedge a u v\nedge b v v"
@@ -17,8 +20,8 @@ SOURCE_TEXT = "vertex u\nvertex v\nedge a u v\nedge b v v"
 def graphs(tmp_path):
     files = {}
     for name, text in [("o2", O2_TEXT), ("o3", O3_TEXT), ("loop", LOOP_TEXT),
-                       ("two", TWO_VERTEX_TEXT), ("sink", SINK_TEXT),
-                       ("source", SOURCE_TEXT)]:
+                       ("two", TWO_VERTEX_TEXT), ("cycle3", CYCLE3_TEXT),
+                       ("sink", SINK_TEXT), ("source", SOURCE_TEXT)]:
         path = tmp_path / f"{name}.graph"
         path.write_text(text + "\n", encoding="utf-8")
         files[name] = str(path)
@@ -105,6 +108,14 @@ def test_cone_decompose(graphs, capsys):
     assert data["parts"] == [{"sign": 1, "element": "S(a)*S(b)*adj(S(b))"},
                              {"sign": 1, "element": "S(b)"}]
     assert data["certificate"] == {"ev_preserved": True, "pairing_preserved": True}
+
+
+def test_cone_decompose_refusals_exit_2(graphs, capsys):
+    for expr, message in (("2 p(v)", "decomposition needs coefficient 1"),
+                          ("S(a)+adj(S(a))", "decomposition needs a single spanning word")):
+        code, data = run_json(capsys, ["cone-decompose", graphs["o2"], expr])
+        assert code == 2, expr
+        assert data["error"] == {"type": "AdmissibilityError", "message": message}
 
 
 def test_cone_ktheory(graphs, capsys):
@@ -232,3 +243,32 @@ def test_disagreement_schema_fault_injection():
     data = json.loads(text)
     assert data["routes_report"]["agree"] is False
     assert "routes" in data["routes_report"]
+
+
+def test_each_matrix_factored_once_per_command(graphs, tmp_path, capsys, monkeypatch):
+    # (U, D, V) determines M = U^-1 D V^-1, and equal matrices give equal
+    # factorisations, so distinct triples mean no matrix was factored twice
+    made = []
+    check = SNFResult.__post_init__
+
+    def counted(self):
+        check(self)
+        made.append((self.U, self.D, self.V))
+
+    monkeypatch.setattr(SNFResult, "__post_init__", counted)
+    rng = random.Random(4)
+    lines = [f"vertex v{i}" for i in range(16)]
+    for i in range(16):
+        for j in ((i + 1) % 16, rng.randrange(16), rng.randrange(16)):
+            lines.append(f"edge e{len(lines)} v{i} v{j}")
+    sparse = tmp_path / "sparse16.graph"
+    sparse.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    runs = [(["graph-ktheory", str(sparse)], 1), (["cone-ktheory", str(sparse)], 2)]
+    runs += [(["crosscheck", graphs[name], "--horizon", "2"], 4)
+             for name in ("o2", "o3", "loop", "two", "cycle3")]
+    for argv, expected in runs:
+        made.clear()
+        assert run_command(argv) == 0, argv
+        capsys.readouterr()
+        assert len(made) == expected, argv
+        assert len(set(made)) == expected, argv

@@ -6,7 +6,7 @@ from graphck.afcore import k0f_equal, k0f_is_zero, k0f_value_in_closed_form
 from graphck.algebra import CKElement
 from graphck.cone import (ConeClass, cone_equal, decompose_relations, ev_star,
                           mapping_cone_k_groups, vfa_membership)
-from graphck.errors import HypothesisError
+from graphck.errors import AdmissibilityError, HypothesisError
 from graphck.exprs import format_element
 from graphck.graphs import enumerate_paths, parse_graph
 from graphck.pairing import pairing_value
@@ -102,9 +102,9 @@ def test_decompose_with_projection_payload():
 def test_decompose_malformed():
     g = o2()
     two_terms = CKElement.edge_isometry(g, "a") + CKElement.path_isometry(g, g.path("b", "a"))
-    with pytest.raises(ValueError):
+    with pytest.raises(AdmissibilityError, match="single spanning word"):
         decompose_relations(two_terms)
-    with pytest.raises(ValueError):
+    with pytest.raises(AdmissibilityError, match="coefficient 1"):
         decompose_relations(CKElement.edge_isometry(g, "a").scale(2))
 
 

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphck import intmat
 from graphck.intmat import (AbelianGroup, IntMatrix, abelian_group_from_cokernel,
                             coset_canonical_form, hermite_row_basis,
                             in_stabilized_kernel, integer_kernel_basis,
@@ -51,10 +53,63 @@ def test_snf_random_suite():
 
 
 def test_snf_deterministic():
-    mat = M([[6, 4, 2], [4, 8, 0], [2, 0, 10]])
-    first = smith_normal_form(mat)
-    second = smith_normal_form(mat)
+    # two equal matrix objects are factored separately and identically
+    first = smith_normal_form(M([[6, 4, 2], [4, 8, 0], [2, 0, 10]]))
+    second = smith_normal_form(M([[6, 4, 2], [4, 8, 0], [2, 0, 10]]))
+    assert first is not second
     assert first.U == second.U and first.V == second.V and first.D == second.D
+
+
+def test_one_factorisation_shared_by_every_query(monkeypatch):
+    mat = M([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    snf = smith_normal_form(mat)
+
+    def refactor(_):
+        raise AssertionError("matrix factored twice")
+
+    monkeypatch.setattr(intmat, "_smith_normal_form", refactor)
+    assert smith_normal_form(mat) is snf and mat.snf is snf
+    assert abelian_group_from_cokernel(mat) == AbelianGroup(0, (2, 6, 12))
+    assert integer_kernel_basis(mat) == ()
+    assert coset_canonical_form(mat, (2, -6, 10)) == ((0, 0, 0), (2, 6, 12))
+    assert solve_integer_linear(mat, (2, -6, 10)) == (1, 0, 0)
+    with pytest.raises(AssertionError, match="factored twice"):
+        smith_normal_form(M(mat.entries))
+
+
+def _fraction_det(rows):
+    """Determinant by Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n, det = len(m), Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+def test_det_and_product_against_definitions():
+    rng = random.Random(7)
+    for _ in range(600):
+        n = rng.randrange(0, 7)
+        density = rng.choice((0.2, 0.5, 1.0))
+        rows = [[rng.randrange(-4, 5) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(n)]
+        assert M(rows).det() == _fraction_det(rows)
+        c = rng.randrange(0, 5)
+        other = [[rng.randrange(-4, 5) if rng.random() < density else 0 for _ in range(c)]
+                 for _ in range(n)]
+        expected = [[sum(rows[i][k] * other[k][j] for k in range(n)) for j in range(c)]
+                    for i in range(n)]
+        if n:
+            assert (M(rows) * M(other)).entries == M(expected).entries
 
 
 @settings(max_examples=120, deadline=None)
