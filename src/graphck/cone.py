@@ -17,7 +17,7 @@ from .algebra import CKElement
 from .errors import AdmissibilityError, InternalInvariantError
 from .graphs import Graph, Path, require_regular, transfer_matrix, validate_graph
 from .intmat import AbelianGroup
-from .ktheory import _verify_j_surjective, graph_k_theory
+from .ktheory import graph_k_theory, vertex_classes_surject
 from .pairing import AdmissibleIsometry, check_admissible, pairing
 
 
@@ -164,16 +164,16 @@ def mapping_cone_k_groups(g: Graph) -> dict:
     """K-groups of the mapping cone via the connecting sequence.
 
     The odd group vanishes once the vertex classes surject onto the even
-    K-group of the graph algebra (certified, not assumed).  The even group
-    is an extension of the kernel of the inclusion-induced map by the odd
+    K-group of the graph algebra.  That is certified, not assumed, by the
+    unimodular U of the factorisation U(1 - B)V = D that also gives the
+    K-groups (ktheory.vertex_classes_surject).  The even group is an
+    extension of the kernel of the inclusion-induced map by the odd
     K-group of the graph algebra; when the graph is also weakly connected
     the index map identifies it with the limit group of the core.
     """
     props = require_regular(g)
     kt = graph_k_theory(g)
-    surjective = _verify_j_surjective(g)
-    if not surjective:
-        raise InternalInvariantError("vertex classes failed to surject onto the even K-group")
+    vertex_classes_surject(g)
     B = transfer_matrix(g)
     report = {
         "K1_mapping_cone": AbelianGroup(0, ()),

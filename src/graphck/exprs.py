@@ -188,16 +188,6 @@ def parse_element(text: str, graph: Graph) -> CKElement:
     return parser.parse()
 
 
-def _format_coeff_magnitude(coeff: GaussianRational) -> str:
-    # caller has arranged a canonical sign; emits grammar-compatible text
-    if not coeff.im:
-        return str(coeff.re)
-    if not coeff.re:
-        return f"{coeff.im}i"
-    sign = "+" if coeff.im > 0 else "-"
-    return f"({coeff.re}{sign}{abs(coeff.im)}i)"
-
-
 def format_element(elem: CKElement) -> str:
     """Render an element in the expression grammar (round-trips by parse)."""
     g = elem.graph
@@ -220,7 +210,7 @@ def format_element(elem: CKElement) -> str:
         if mag.re == 1 and not mag.im:
             text = body
         else:
-            text = f"{_format_coeff_magnitude(mag)} {body}"
+            text = f"{mag} {body}"
         pieces.append(("-" if negative else "+", text))
     first_sign, first_text = pieces[0]
     out = ("-" if first_sign == "-" else "") + first_text

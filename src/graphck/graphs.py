@@ -15,6 +15,22 @@ from .intmat import IntMatrix
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
+def _declare(index: dict, name: str, kind: str) -> None:
+    """Give name the next position in index; GraphSyntaxError on a bad or
+    repeated identifier."""
+    if not _IDENT.match(name):
+        raise GraphSyntaxError(f"bad {kind} identifier {name!r}")
+    if name in index:
+        raise GraphSyntaxError(f"duplicate {kind} {name!r}")
+    index[name] = len(index)
+
+
+def _declared_vertex(vertex_index: dict, name: str) -> int:
+    if name not in vertex_index:
+        raise GraphSyntaxError(f"undeclared vertex {name!r}")
+    return vertex_index[name]
+
+
 class Graph:
     """Immutable finite directed graph with named vertices and edges."""
 
@@ -23,29 +39,17 @@ class Graph:
         self.vertices = tuple(vertices)
         self.vertex_index = {}
         for name in self.vertices:
-            if not _IDENT.match(name):
-                raise GraphSyntaxError(f"bad vertex identifier {name!r}")
-            if name in self.vertex_index:
-                raise GraphSyntaxError(f"duplicate vertex {name!r}")
-            self.vertex_index[name] = len(self.vertex_index)
+            _declare(self.vertex_index, name, "vertex")
 
         self.edge_names = []
         self.edge_source = []
         self.edge_range = []
         self.edge_index = {}
         for name, src, rng in edges:
-            if not _IDENT.match(name):
-                raise GraphSyntaxError(f"bad edge identifier {name!r}")
-            if name in self.edge_index:
-                raise GraphSyntaxError(f"duplicate edge {name!r}")
-            if src not in self.vertex_index:
-                raise GraphSyntaxError(f"undeclared vertex {src!r} in edge {name!r}")
-            if rng not in self.vertex_index:
-                raise GraphSyntaxError(f"undeclared vertex {rng!r} in edge {name!r}")
-            self.edge_index[name] = len(self.edge_names)
+            _declare(self.edge_index, name, "edge")
             self.edge_names.append(name)
-            self.edge_source.append(self.vertex_index[src])
-            self.edge_range.append(self.vertex_index[rng])
+            self.edge_source.append(_declared_vertex(self.vertex_index, src))
+            self.edge_range.append(_declared_vertex(self.vertex_index, rng))
         self.edge_names = tuple(self.edge_names)
         self.edge_source = tuple(self.edge_source)
         self.edge_range = tuple(self.edge_range)
@@ -188,7 +192,6 @@ class GraphProperties:
     no_sources: bool
     no_sinks: bool
     weakly_connected: bool
-    locally_finite: bool = True
 
 
 def parse_graph(text: str) -> Graph:
@@ -197,38 +200,28 @@ def parse_graph(text: str) -> Graph:
     Lines are `vertex <id>`, `edge <id> <source> <range>`, or comments
     starting with `#`; blank lines are ignored.
     """
-    vertices = []
+    vertex_index, edge_index = {}, {}
     edges = []
-    seen_vertices = set()
-    seen_edges = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "vertex" and len(parts) == 2:
-            name = parts[1]
-            if not _IDENT.match(name):
-                raise GraphSyntaxError(f"bad vertex identifier {name!r}", line=lineno)
-            if name in seen_vertices:
-                raise GraphSyntaxError(f"duplicate vertex {name!r}", line=lineno)
-            seen_vertices.add(name)
-            vertices.append(name)
-        elif parts[0] == "edge" and len(parts) == 4:
-            name, src, rng = parts[1], parts[2], parts[3]
-            if not _IDENT.match(name):
-                raise GraphSyntaxError(f"bad edge identifier {name!r}", line=lineno)
-            if name in seen_edges:
-                raise GraphSyntaxError(f"duplicate edge {name!r}", line=lineno)
-            if src not in seen_vertices:
-                raise GraphSyntaxError(f"undeclared vertex {src!r}", line=lineno)
-            if rng not in seen_vertices:
-                raise GraphSyntaxError(f"undeclared vertex {rng!r}", line=lineno)
-            seen_edges.add(name)
-            edges.append((name, src, rng))
-        else:
-            raise GraphSyntaxError(f"unrecognised declaration {line!r}", line=lineno)
-    return Graph(vertices, edges)
+        try:
+            if parts[0] == "vertex" and len(parts) == 2:
+                _declare(vertex_index, parts[1], "vertex")
+            elif parts[0] == "edge" and len(parts) == 4:
+                # the file is read in order, so an edge may only name
+                # vertices declared on earlier lines
+                _declare(edge_index, parts[1], "edge")
+                _declared_vertex(vertex_index, parts[2])
+                _declared_vertex(vertex_index, parts[3])
+                edges.append(parts[1:])
+            else:
+                raise GraphSyntaxError(f"unrecognised declaration {line!r}")
+        except GraphSyntaxError as err:
+            raise GraphSyntaxError(str(err), line=lineno) from None
+    return Graph(list(vertex_index), edges)
 
 
 def validate_graph(g: Graph) -> GraphProperties:

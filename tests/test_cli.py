@@ -4,7 +4,10 @@ import random
 import pytest
 
 from graphck.cli import run_command
-from graphck.intmat import SNFResult
+from graphck import intmat
+from graphck.errors import GraphSyntaxError
+from graphck.graphs import parse_graph, presentation_matrix
+from graphck.intmat import IntMatrix, SNFResult
 from graphck.render import render_report
 from graphck.afcore import k0f_zero
 from graphck.pairing import PairingReport
@@ -263,8 +266,8 @@ def test_each_matrix_factored_once_per_command(graphs, tmp_path, capsys, monkeyp
             lines.append(f"edge e{len(lines)} v{i} v{j}")
     sparse = tmp_path / "sparse16.graph"
     sparse.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    runs = [(["graph-ktheory", str(sparse)], 1), (["cone-ktheory", str(sparse)], 2)]
-    runs += [(["crosscheck", graphs[name], "--horizon", "2"], 4)
+    runs = [(["graph-ktheory", str(sparse)], 1), (["cone-ktheory", str(sparse)], 1)]
+    runs += [(["crosscheck", graphs[name], "--horizon", "2"], 3)
              for name in ("o2", "o3", "loop", "two", "cycle3")]
     for argv, expected in runs:
         made.clear()
@@ -272,3 +275,47 @@ def test_each_matrix_factored_once_per_command(graphs, tmp_path, capsys, monkeyp
         capsys.readouterr()
         assert len(made) == expected, argv
         assert len(set(made)) == expected, argv
+
+
+def test_surjectivity_certificate_is_checked(graphs, capsys, monkeypatch):
+    # a factorisation of 1 - B whose U doubles a row still has U*M*V and D
+    # diagonal with the right chain, but its columns no longer span Z^n:
+    # the vertex classes would not be certified to surject
+    factor = intmat._smith_normal_form
+    for argv in (["cone-ktheory", graphs["o3"]],
+                 ["crosscheck", graphs["two"], "--horizon", "1"]):
+        with open(argv[1], encoding="utf-8") as fh:
+            one_minus_b = presentation_matrix(parse_graph(fh.read()))
+
+        def faulty(M):
+            snf = factor(M)
+            if M != one_minus_b:
+                return snf
+            rows = snf.U.entries
+            bad_u = IntMatrix((tuple(2 * x for x in rows[0]),) + rows[1:])
+            return SNFResult(bad_u, snf.D, snf.V)
+
+        monkeypatch.setattr(intmat, "_smith_normal_form", faulty)
+        code, data = run_json(capsys, argv)
+        assert code == 1, argv
+        assert data["error"] == {"type": "InternalInvariantError",
+                                 "message": "SNF transform not unimodular"}
+
+
+@pytest.mark.parametrize("text, line, message", [
+    # declared, but only on a later line than the edge that names it
+    ("vertex u\nedge a u v\nvertex v", 2, "undeclared vertex 'v'"),
+    # the first repeat is reported, not the third copy
+    ("vertex u\nvertex u\nvertex u", 2, "duplicate vertex 'u'"),
+    ("vertex u\nedge a u u\n# loop\nedge a u u\nedge a u u", 4, "duplicate edge 'a'"),
+])
+def test_graph_file_errors_name_their_line(text, line, message, tmp_path, capsys):
+    with pytest.raises(GraphSyntaxError) as exc:
+        parse_graph(text)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+    path = tmp_path / "bad.graph"
+    path.write_text(text + "\n", encoding="utf-8")
+    code, data = run_json(capsys, ["graph-validate", str(path)])
+    assert code == 2
+    assert data["error"] == {"type": "GraphSyntaxError", "message": f"line {line}: {message}"}

@@ -45,6 +45,18 @@ def test_parse_duplicates_and_syntax():
         parse_graph("vertex 1v")
 
 
+def test_graph_constructor_errors_carry_no_line():
+    # the constructor gets every vertex first, so declaration order cannot matter
+    g = Graph(("u", "v"), [("a", "u", "v")])
+    assert g.edge_range == (1,)
+    with pytest.raises(GraphSyntaxError) as exc:
+        Graph(("u", "u"), [])
+    assert str(exc.value) == "duplicate vertex 'u'" and exc.value.line is None
+    with pytest.raises(GraphSyntaxError) as exc:
+        Graph(("u",), [("a", "u", "w")])
+    assert str(exc.value) == "undeclared vertex 'w'" and exc.value.line is None
+
+
 def test_validate_flags():
     assert validate_graph(o2()) == validate_graph(o2())
     props = validate_graph(o2())
