@@ -1,23 +1,29 @@
 """K-theory of the gauge fixed-point algebra as a stationary direct limit.
 
 A class is a pair (level m, integer vector over the vertices): the vector
-of block ranks of a projection expanded to words of length m.  Pushing one
-level deeper multiplies the vector by B, the transpose of the vertex
-matrix, so (vec, m) and (B vec, m+1) are the same class and equality is
-decided in the limit by a stabilized kernel test.
+of block ranks of a projection written in words of length m, i.e. its
+per-vertex trace at level m.  Pushing one level deeper multiplies the
+vector by B, the transpose of the vertex matrix, so (vec, m) and
+(B vec, m+1) are the same class and equality is decided in the limit by a
+stabilized kernel test.
 
-Graded classes [q Phi_k] (the projection q cutting the degree-k part of
-the gauge module) satisfy the unified rule: expand q at any level
-m >= max(k, 0) and place its rank vector at level m - k.  For k >= 0 this
-is the shift S_(sigma^k mu) S_mu*; for k < 0 it is conjugation by any
-S_rho S_mu* with |rho| = m - k and r(rho) = r(mu), which exists because
-the graph has no sources.
+The rank vector is read from traces through B, never from word expansion:
+a diagonal word S_mu S_mu* has trace e_r(mu) at level |mu| and so
+B^(m-|mu|) e_r(mu) at level m, and an off-diagonal word has none at any
+level.  Graded classes [q Phi_k] (the projection q cutting the degree-k
+part of the gauge module) satisfy the unified rule: take the rank vector
+of q at any level m >= max(k, 0) and place it at level m - k.  For k >= 0
+this is the shift S_(sigma^k mu) S_mu*; for k < 0 it is conjugation by
+any S_rho S_mu* with |rho| = m - k and r(rho) = r(mu), which exists
+because the graph has no sources.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from .algebra import CKElement, classify
 from .errors import InternalInvariantError, NotAProjectionError
@@ -64,37 +70,50 @@ class GradedProjection:
 
 
 def _block_rank_vector(q: CKElement, m: int) -> tuple:
-    """Per-vertex trace of q expanded at level m; must be integer ranks."""
+    """Per-vertex trace of q at level m; must be integer ranks.
+
+    Traces are linear and only the diagonal words S_mu S_mu* carry any:
+    an off-diagonal word expands only into off-diagonal words.  Expanding
+    S_mu S_mu* to level m gives one diagonal word per path of length
+    m - |mu| from r(mu), counted per range by B^(m-|mu|) e_r(mu).  So the
+    trace is the sum of c * B^(m-|mu|) e_r(mu) over the diagonal terms,
+    with no word expanded.  The real and imaginary parts are summed
+    exactly, as integers over the common denominator of the coefficients.
+    """
     g = q.graph
-    nf = q.normal_form(m)
-    sums = [Fraction(0)] * g.n_vertices
-    ints = [0] * g.n_vertices
-    for term, coeff in nf.terms.items():
-        if term.mu == term.nu:
-            if coeff.im:
-                raise InternalInvariantError("projection block trace is not real")
-            v = term.mu.range
-            if coeff.re.denominator == 1:
-                ints[v] += coeff.re.numerator
-            else:
-                sums[v] += coeff.re
-    vec = []
-    for v in range(g.n_vertices):
-        total = sums[v] + ints[v]
-        if total.denominator != 1 or total < 0:
+    if m < q.min_level():
+        raise ValueError("level below a term's min length")
+    diagonal = [(len(t.mu), t.mu.range, c) for t, c in q.terms.items() if t.mu == t.nu]
+    den = lcm(*(x.denominator for _, _, c in diagonal for x in (c.re, c.im)))
+    by_power = {}
+    for length, v, c in diagonal:
+        re, im = by_power.setdefault(m - length, ([0] * g.n_vertices, [0] * g.n_vertices))
+        re[v] += c.re.numerator * (den // c.re.denominator)
+        im[v] += c.im.numerator * (den // c.im.denominator)
+    B = transfer_matrix(g)
+    re, im = [0] * g.n_vertices, [0] * g.n_vertices
+    for power, (re_p, im_p) in by_power.items():
+        re = list(map(add, re, B.apply_power(power, re_p)))
+        im = list(map(add, im, B.apply_power(power, im_p)))
+    if any(im):
+        raise InternalInvariantError("projection block trace is not real")
+    for v, total in enumerate(re):
+        if total % den or total < 0:
             raise InternalInvariantError(
-                f"block trace {total} at vertex {g.vertices[v]!r} is not a "
-                "nonnegative integer; input was not a projection in the core")
-        vec.append(int(total))
-    return tuple(vec)
+                f"block trace {Fraction(total, den)} at vertex {g.vertices[v]!r} is "
+                "not a nonnegative integer; input was not a projection in the core")
+    return tuple(total // den for total in re)
 
 
 def class_of_projection(q: CKElement, k: int = 0, check: bool = True) -> K0FClass:
     """Graded class [q Phi_k] of a projection q in the core, by the unified
     rule; k = 0 is the plain class [q].
 
-    Expands q at m = max(k, 0, natural level) and returns the rank vector
-    at level m - k.
+    Takes the trace of q at m = max(k, 0, natural level), summed through
+    B without expanding any word, and returns that rank vector at level
+    m - k.  With check=True, classify first certifies q as a projection
+    in the core (through normal-form equality); with check=False only the
+    trace guards remain.
     """
     require_regular(q.graph)
     if check and q.terms:

@@ -3,7 +3,10 @@
 Elements are finite Gaussian-rational combinations of spanning words
 S_mu S_nu* with r(mu) = r(nu).  Multiplication collapses words by the
 prefix rules; the relation p_v = sum of S_e S_e* over edges leaving v
-drives the level-m normal form, which makes equality decidable.
+drives the level-m normal form, which makes equality decidable.  The
+normal form serves equality only (is_equal, and through it classify and
+the admissibility checks): the limit-group classes of afcore are read
+from traces through B without expanding any word.
 
 Equality through the normal form leans on the (standard) linear
 independence of the words with min(|mu|, |nu|) equal to a common level;

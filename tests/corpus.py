@@ -8,7 +8,7 @@ through the path-action picture.
 
 from fractions import Fraction
 
-from graphck.algebra import CKElement, GaussianRational
+from graphck.algebra import GR_ZERO, CKElement, GaussianRational
 from graphck.graphs import Graph, Path, parse_graph
 
 O2_TEXT = "vertex v\nedge a v v\nedge b v v"
@@ -122,6 +122,18 @@ def count_paths_bruteforce(g: Graph, n: int, end=None) -> int:
     if end is None:
         return sum(counts.values())
     return counts[end]
+
+
+def block_trace_by_expansion(q: CKElement, m: int) -> tuple:
+    """Per-vertex trace of q at level m by word expansion: write q in
+    words of length m (normal_form) and sum the diagonal coefficients per
+    range vertex.  Gaussian-rational entries; the reference for the trace
+    rule of afcore, which expands no word."""
+    sums = [GR_ZERO] * q.graph.n_vertices
+    for term, coeff in q.normal_form(m).terms.items():
+        if term.mu == term.nu:
+            sums[term.mu.range] += coeff
+    return tuple(sums)
 
 
 def fundamental_domain_order(matrix_rows) -> int:

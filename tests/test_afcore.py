@@ -1,15 +1,19 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from graphck.afcore import (K0FClass, _block_rank_vector, class_of_projection,
                             k0f_combine, k0f_describe, k0f_equal, k0f_is_zero,
                             k0f_value_in_closed_form, k0f_zero, k1f)
-from graphck.algebra import CKElement, normal_form
+from graphck.algebra import GR_I, CKElement, GaussianRational, linear_combine, normal_form
 from graphck.errors import (HypothesisError, InternalInvariantError,
                             NotAProjectionError)
 from graphck.graphs import enumerate_paths, parse_graph, transfer_matrix
-from corpus import SINK_TEXT, cuntz, cycle3_chords, o2, o3, single_loop, two_vertex
+from corpus import (SINK_TEXT, block_trace_by_expansion, cuntz, cycle3_chords,
+                    disconnected_pair, o2, o3, regular_corpus, single_loop, two_vertex)
 
 
 def e_vec(g, v):
@@ -57,10 +61,6 @@ def test_class_requires_regular_graph():
 
 
 def test_block_trace_hard_assertion():
-    from fractions import Fraction
-
-    from graphck.algebra import GaussianRational
-
     g = o2()
     pv = CKElement.vertex_projection(g, "v")
     bad = pv.scale(GaussianRational(Fraction(1, 2), Fraction(0)))
@@ -68,6 +68,17 @@ def test_block_trace_hard_assertion():
         _block_rank_vector(bad, 0)
     with pytest.raises(InternalInvariantError):
         _block_rank_vector(pv.scale(-1), 0)
+    with pytest.raises(InternalInvariantError, match="not real"):
+        _block_rank_vector(pv.scale(GR_I), 0)
+    # without the projection check the trace guards still name the vertex
+    g = two_vertex()
+    p2 = CKElement.vertex_projection(g, "v2")
+    with pytest.raises(InternalInvariantError, match="block trace -1 at vertex 'v2'"):
+        class_of_projection(p2.scale(-1), check=False)
+    with pytest.raises(InternalInvariantError, match="block trace 1/2 at vertex 'v2'"):
+        class_of_projection(p2.scale(Fraction(1, 2)), 2, check=False)
+    with pytest.raises(InternalInvariantError, match="not real"):
+        class_of_projection(p2.scale(GR_I), -1, check=False)
 
 
 def test_graded_projection_shift_rule():
@@ -209,3 +220,77 @@ def test_k0f_equal_matches_bounded_power_search():
                 w = B.apply(w)
             brute = brute or not any(w)
             assert k0f_equal(x, K0FClass(g, lx, (0,) * g.n_vertices)) == brute
+
+
+# Rank-one projections onto a xi_mu + b xi_nu with |a|^2 + |b|^2 = 1, as
+# (|a|^2, a conj(b), |b|^2): real, imaginary and fractional coefficients.
+_RANK_ONE = tuple((Fraction(wm), GaussianRational(Fraction(re), Fraction(im)), Fraction(wn))
+                  for wm, re, im, wn in (("1/2", "1/2", 0, "1/2"),
+                                         ("1/2", 0, "1/2", "1/2"),
+                                         ("9/25", "12/25", 0, "16/25"),
+                                         ("9/25", 0, "-12/25", "16/25")))
+_HIDDEN_ZERO_COEFFS = (GR_I, GaussianRational(Fraction(1, 3), Fraction(-2, 3)),
+                       GaussianRational(Fraction(-1, 2), Fraction(0)))
+_TRACE_GRAPHS = [g for _, g in regular_corpus()] + [disconnected_pair()]
+
+
+def _incomparable(mu, nu):
+    return not mu.is_prefix_of(nu) and not nu.is_prefix_of(mu)
+
+
+@st.composite
+def core_projections(draw):
+    """A projection in the core of a regular corpus graph: a sum of
+    orthogonal path projections, 1 - p_mu, or a rank-one projection
+    w_mu p_mu + c S_mu S_nu* + conj(c) S_nu S_mu* + w_nu p_nu with
+    |mu| = |nu|, r(mu) = r(nu) and mu != nu, optionally plus
+    1 - p_mu - p_nu.  Some draws add a multiple of the zero element
+    p_rho - sum_e p_(rho e), so the diagonal coefficients of one element
+    sit at two levels and may be imaginary or fractional."""
+    g = draw(st.sampled_from(_TRACE_GRAPHS))
+    paths = [p for length in range(4) for p in enumerate_paths(g, length)]
+    kind = draw(st.sampled_from(("orthogonal_sum", "complement", "rank_one")))
+    if kind == "orthogonal_sum":
+        chosen = []
+        for p in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=5)):
+            if all(_incomparable(p, c) for c in chosen):
+                chosen.append(p)
+        q = linear_combine([(1, CKElement.path_projection(g, p)) for p in chosen])
+    else:
+        mu = draw(st.sampled_from(paths))
+        p_mu = CKElement.path_projection(g, mu)
+        if kind == "complement":
+            q = CKElement.unit(g) - p_mu
+        else:
+            partners = [nu for nu in enumerate_paths(g, len(mu))
+                        if nu.range == mu.range and nu != mu]
+            assume(partners)
+            nu = draw(st.sampled_from(partners))
+            p_nu = CKElement.path_projection(g, nu)
+            w_mu, c, w_nu = draw(st.sampled_from(_RANK_ONE))
+            q = linear_combine([(w_mu, p_mu), (c, CKElement.word(g, mu, nu)),
+                                (c.conj(), CKElement.word(g, nu, mu)), (w_nu, p_nu)])
+            if draw(st.booleans()):
+                q = q + CKElement.unit(g) - p_mu - p_nu
+    if draw(st.booleans()):
+        rho = draw(st.sampled_from(paths))
+        zero = linear_combine([(1, CKElement.path_projection(g, rho))]
+                              + [(-1, CKElement.path_projection(g, rho.extend(e)))
+                                 for e in g.out_edges[rho.range]])
+        q = q + zero.scale(draw(st.sampled_from(_HIDDEN_ZERO_COEFFS)))
+    return q
+
+
+@settings(max_examples=150, deadline=None)
+@given(core_projections(), st.integers(-3, 3), st.integers(0, 2))
+def test_trace_rule_matches_word_expansion(q, k, extra):
+    m = max(k, 0, q.min_level())
+    reference = block_trace_by_expansion(q, m + extra)
+    assert all(not x.im and x.re.denominator == 1 for x in reference)
+    assert _block_rank_vector(q, m + extra) == tuple(int(x.re) for x in reference)
+    cls = class_of_projection(q, k)  # classify certifies q first
+    expected = tuple(int(x.re) for x in block_trace_by_expansion(q, m))
+    if q.terms:
+        assert (cls.level, cls.vec) == (m - k, expected)
+    else:
+        assert cls.level == 0 and not any(cls.vec) and not any(expected)

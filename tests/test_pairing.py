@@ -28,6 +28,29 @@ def test_pairing_cuntz_closed_form():
                 assert k0f_value_in_closed_form(value) == expected
 
 
+def test_pairing_expands_no_words_for_classes(monkeypatch):
+    # counted, not timed: the window [(1 - q_r) Phi_0] of a length-8 path
+    # isometry on O_5 holds 5^8 = 390,625 words at level 8, and the class
+    # evaluation reads its trace through B without writing any of them
+    expanded = []
+    expand = CKElement.normal_form
+
+    def counting(self, m):
+        out = expand(self, m)
+        expanded.append(len(out.terms))
+        return out
+
+    monkeypatch.setattr(CKElement, "normal_form", counting)
+    g = cuntz(5)
+    rep = pairing(CKElement.path_isometry(g, g.path(*"abcdeabc")))
+    assert rep.agree
+    assert k0f_value_in_closed_form(rep.value) == Fraction(5 ** 8 - 1, 4 * 5 ** 8)
+    assert sum(expanded) <= 100
+    length = 20
+    value = pairing_value(CKElement.path_isometry(g, g.path(*("abcde" * 4))))
+    assert k0f_value_in_closed_form(value) == Fraction(5 ** length - 1, 4 * 5 ** length)
+
+
 def test_pairing_vanishes_on_core():
     g = o2()
     p = CKElement.path_projection(g, g.path("a", "b"))
