@@ -20,6 +20,9 @@ CYCLE3_TEXT = ("vertex x\nvertex y\nvertex z\n"
 SINK_TEXT = "vertex v\nvertex w\nedge e v w"
 DISCONNECTED_TEXT = ("vertex v1\nvertex v2\n"
                      "edge a1 v1 v1\nedge b1 v1 v1\nedge a2 v2 v2\nedge b2 v2 v2")
+# regular with det B = 0: ker B has rank 1 and ker B^3 rank 2
+SINGULAR_B_TEXT = ("vertex u\nvertex v\nvertex w\n"
+                   "edge a u u\nedge b w w\nedge c u w\nedge d u v\nedge e w v\nedge f v u")
 
 
 def cuntz(n: int) -> Graph:
@@ -51,6 +54,10 @@ def cycle3_chords():
 
 def disconnected_pair():
     return parse_graph(DISCONNECTED_TEXT)
+
+
+def singular_b():
+    return parse_graph(SINGULAR_B_TEXT)
 
 
 def regular_corpus():

@@ -26,7 +26,7 @@ import json  # noqa: E402
 import tempfile  # noqa: E402
 
 from corpus import (CYCLE3_TEXT, DISCONNECTED_TEXT, LOOP_TEXT, O2_TEXT,  # noqa: E402
-                    O3_TEXT, SINK_TEXT, TWO_VERTEX_TEXT)
+                    O3_TEXT, SINGULAR_B_TEXT, SINK_TEXT, TWO_VERTEX_TEXT)
 from graphck.cli import run_command  # noqa: E402
 from graphck.graphs import parse_graph  # noqa: E402
 
@@ -34,7 +34,8 @@ GOLDEN = HERE / "golden.json"
 
 GRAPHS = {"o2": O2_TEXT, "o3": O3_TEXT, "single_loop": LOOP_TEXT,
           "two_vertex": TWO_VERTEX_TEXT, "cycle3_chords": CYCLE3_TEXT,
-          "disconnected_pair": DISCONNECTED_TEXT, "sink": SINK_TEXT}
+          "disconnected_pair": DISCONNECTED_TEXT, "sink": SINK_TEXT,
+          "singular_b": SINGULAR_B_TEXT}
 
 
 def _expressions(g):
