@@ -30,10 +30,8 @@ from .graphs import (Graph, GraphProperties, Path, enumerate_paths,
                      parse_graph, require_regular, transfer_matrix,
                      validate_graph, vertex_matrix)
 from .intmat import (AbelianGroup, IntMatrix, SNFResult,
-                     abelian_group_from_cokernel, hermite_row_basis,
-                     in_stabilized_kernel, integer_kernel_basis,
-                     smith_normal_form, solve_integer_linear,
-                     stabilized_kernel)
+                     abelian_group_from_cokernel, in_stabilized_kernel,
+                     smith_normal_form)
 from .ktheory import (CosetClass, KTheoryReport, exactness_report,
                       graph_k_theory, j_star)
 from .pairing import (AdmissibleIsometry, PairingReport, pairing,

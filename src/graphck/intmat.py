@@ -2,12 +2,14 @@
 
 Everything here works over arbitrary-precision Python ints; no floats
 anywhere.  The central tool is the Smith normal form with unimodular
-transforms tracked, from which cokernel presentations, integer kernels,
-stabilized kernels, coset coordinates and integer solutions are read off.
+transforms tracked, from which cokernel presentations, ranks and coset
+coordinates are read off.  Membership in the stabilized kernel of a
+square B (the union of the kernels of its powers) needs no factorisation:
+it is decided by applying B as many times as its size.
 
 A matrix is factored at most once: the first query on an IntMatrix
 computes its Smith normal form and keeps it on that object, and every
-later query on the same object (cokernel, kernel, coset, solve, or
+later query on the same object (cokernel, rank, coset, or
 smith_normal_form itself) reuses it.  The invariant checks (det U and
 det V are units, U*M*V = D, the diagonal forms a divisibility chain) run
 once per factorisation.  Nothing is cached by matrix contents or at
@@ -20,7 +22,6 @@ row-major) so that all downstream reports are byte-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import add
 
@@ -48,10 +49,6 @@ class IntMatrix:
     @staticmethod
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(tuple((0,) * cols for _ in range(rows)))
 
     @property
     def rows(self) -> int:
@@ -150,24 +147,6 @@ class IntMatrix:
                     m[i] = [a * pivot // prev for a in row]
             prev = pivot
         return sign * m[n - 1][n - 1]
-
-    def rank(self) -> int:
-        """Rank over the rationals (fraction-based row reduction)."""
-        m = [[Fraction(x) for x in row] for row in self.entries]
-        rank = 0
-        for col in range(self.cols):
-            pivot = next((i for i in range(rank, self.rows) if m[i][col] != 0), None)
-            if pivot is None:
-                continue
-            m[rank], m[pivot] = m[pivot], m[rank]
-            inv = 1 / m[rank][col]
-            m[rank] = [x * inv for x in m[rank]]
-            for i in range(self.rows):
-                if i != rank and m[i][col] != 0:
-                    f = m[i][col]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-            rank += 1
-        return rank
 
 
 @dataclass(frozen=True)
@@ -367,47 +346,6 @@ def abelian_group_from_cokernel(M: IntMatrix) -> AbelianGroup:
     return AbelianGroup(free_rank, torsion)
 
 
-def hermite_row_basis(vectors) -> tuple:
-    """Canonical (row-style Hermite) basis of the lattice spanned by `vectors`.
-
-    Each basis row leads with a positive pivot; entries other rows carry in a
-    pivot column are reduced into [0, pivot); rows are ordered by pivot column.
-    """
-    vecs = [list(v) for v in vectors if any(v)]
-    if not vecs:
-        return ()
-    n = len(vecs[0])
-    pivot_rows = {}  # leading column -> row
-    for vec in vecs:
-        row = list(vec)
-        while True:
-            j = next((k for k in range(n) if row[k]), None)
-            if j is None:
-                break
-            if j not in pivot_rows:
-                if row[j] < 0:
-                    row = [-x for x in row]
-                pivot_rows[j] = row
-                break
-            brow = pivot_rows[j]
-            a, b = brow[j], row[j]
-            if b % a == 0:
-                q = b // a
-                row = [x - q * y for x, y in zip(row, brow)]
-            else:
-                g, x, y = _xgcd(a, b)
-                pivot_rows[j] = [x * p + y * r for p, r in zip(brow, row)]
-                row = [(-(b // g)) * p + (a // g) * r for p, r in zip(brow, row)]
-    cols = sorted(pivot_rows)
-    for j in cols:
-        brow = pivot_rows[j]
-        for j2 in cols:
-            if j2 > j and brow[j2] != 0:
-                q = brow[j2] // pivot_rows[j2][j2]
-                brow[:] = [x - q * y for x, y in zip(brow, pivot_rows[j2])]
-    return tuple(tuple(pivot_rows[j]) for j in cols)
-
-
 def _xgcd(a: int, b: int):
     """g, x, y with x*a + y*b = g = gcd(a, b) > 0."""
     x, nx = 1, 0
@@ -423,61 +361,11 @@ def _xgcd(a: int, b: int):
     return g, x, y
 
 
-def integer_kernel_basis(M: IntMatrix) -> tuple:
-    """Hermite-reduced basis of {x in Z^cols : M x = 0}.
-
-    The kernel is a pure sublattice: if m*x lies in it for m != 0 then
-    m*(Mx) = 0 forces Mx = 0 because Z^rows is torsion-free.
-    """
-    snf = smith_normal_form(M)
-    diag = snf.D.diagonal()
-    free = [j for j in range(M.cols) if j >= len(diag) or diag[j] == 0]
-    cols = [tuple(snf.V.entries[i][j] for i in range(M.cols)) for j in free]
-    return hermite_row_basis(cols)
-
-
-def stabilized_kernel(B: IntMatrix) -> tuple:
-    """Basis of the union of ker(B^j) over j >= 1, for square B.
-
-    The chain ker(B) <= ker(B^2) <= ... consists of pure sublattices of
-    Z^k, so ranks strictly increase until the chain is constant and the
-    union equals ker(B^k) with k the matrix size.
-    """
-    if B.rows != B.cols:
-        raise ValueError("stabilized kernel needs a square matrix")
-    if B.rows == 0:
-        return ()
-    P = IntMatrix.identity(B.rows)
-    for _ in range(B.rows):
-        P = P * B
-    return integer_kernel_basis(P)
-
-
 def in_stabilized_kernel(B: IntMatrix, vec) -> bool:
     """Whether vec dies under some power of B (decided by B^size)."""
     if B.rows != B.cols:
         raise ValueError("stabilized kernel needs a square matrix")
     return not any(B.apply_power(B.rows, vec))
-
-
-def solve_integer_linear(M: IntMatrix, target):
-    """Some x in Z^cols with M x = target, or None when unsolvable."""
-    if len(target) != M.rows:
-        raise ValueError("dimension mismatch")
-    snf = smith_normal_form(M)
-    rhs = snf.U.apply(target)
-    diag = snf.D.diagonal()
-    y = [0] * M.cols
-    for i in range(M.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if rhs[i] != 0:
-                return None
-        else:
-            if rhs[i] % d != 0:
-                return None
-            y[i] = rhs[i] // d
-    return snf.V.apply(y)
 
 
 def coset_canonical_form(M: IntMatrix, vec):

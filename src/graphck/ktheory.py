@@ -9,10 +9,13 @@ while exactness checks compare subgroups, which are sign-insensitive.
 
 The K-groups, the cosets and the surjectivity certificate all come from
 the one factorisation U(1 - B)V = D kept on the graph's presentation
-matrix.  The vertex classes surject onto the even K-group: [p_v] maps to
-the coset of e_v, whose coordinates are column v of U, and the columns
-of U span Z^n because the factorisation is only accepted with
-|det U| = 1.
+matrix; the odd K-group is free of rank n minus the rank of D.  The
+vertex classes surject onto the even K-group: [p_v] maps to the coset of
+e_v, whose coordinates are column v of U, and the columns of U span Z^n
+because the factorisation is only accepted with |det U| = 1.  Exactness
+at the core's K_0 needs no further factorisation: each sampled kernel
+element of the inclusion map is certified by an explicit combination of
+evaluation images read off the edges of the graph.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from .afcore import K0FClass, k0f_combine
 from .graphs import (Graph, enumerate_paths, presentation_matrix, require_regular,
                      transfer_matrix)
 from .intmat import (AbelianGroup, IntMatrix, abelian_group_from_cokernel,
-                     coset_canonical_form, integer_kernel_basis,
-                     solve_integer_linear, stabilized_kernel)
+                     coset_canonical_form)
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ def graph_k_theory(g: Graph) -> KTheoryReport:
     require_regular(g)
     M = presentation_matrix(g)
     k0 = abelian_group_from_cokernel(M)
-    k1 = AbelianGroup(len(integer_kernel_basis(M)), ())
+    k1 = AbelianGroup(M.cols - M.snf.rank, ())
     images = {}
     for v, name in enumerate(g.vertices):
         e_v = tuple(1 if i == v else 0 for i in range(g.n_vertices))
@@ -101,17 +103,24 @@ def exactness_report(g: Graph, horizon: int = 4) -> dict:
 
     (i) the composite (inclusion map after evaluation) kills every
     generator; (ii) the vertex classes already surject onto the even
-    K-group; (iii) sampled kernel elements of the inclusion map are hit by
-    integer combinations of evaluation images, with misses reported as
-    not certified.
+    K-group; (iii) each sampled kernel element [(1-B)e_v, m] of the
+    inclusion map is minus an explicit sum of evaluation images: the image
+    keyed (m-1, v) for m >= 1, and the images keyed (0, r(e)) over the
+    edges e leaving v for m = 0, because B e_v is the sum of the e_r(e).
+    A sample is certified when its witness keys are among the checked
+    generators and the sum equals the sample at level horizon + 1;
+    misses are reported as not certified.
     """
     props = require_regular(g)
     B = transfer_matrix(g)
     n = g.n_vertices
 
+    def unit(i):
+        return tuple(1 if j == i else 0 for j in range(n))
+
     # S_e P_alpha (r(e) = s(alpha), m = |alpha|, w = r(alpha)) evaluates to
     # [e_w, m] - [e_w, m+1] = [(B-1)e_w, m+1], so the composite and the
-    # lattice depend on (m, w) alone: each distinct pair is checked once
+    # witnesses depend on (m, w) alone: each distinct pair is checked once
     generators = 0
     composite_failures = []
     composite_zero = {}  # (m, w) -> whether the inclusion kills the class
@@ -124,7 +133,7 @@ def exactness_report(g: Graph, horizon: int = 4) -> dict:
                 generators += 1
                 key = (length, alpha.range)
                 if key not in composite_zero:
-                    e_w = tuple(1 if i == alpha.range else 0 for i in range(n))
+                    e_w = unit(alpha.range)
                     composite_zero[key] = j_star_is_zero(k0f_combine(g, [
                         (1, K0FClass(g, length, e_w)),
                         (-1, K0FClass(g, length + 1, e_w)),
@@ -132,29 +141,26 @@ def exactness_report(g: Graph, horizon: int = 4) -> dict:
                 if not composite_zero[key]:
                     composite_failures.append(f"S({g.edge_names[e]})P[{alpha}]")
 
-    # kernel samples: [(1-B)e_v, m]; solve for them inside the lattice
-    # spanned by the aligned evaluation images plus the zero classes
+    # the images pushed to level horizon + 1, where equal vectors are equal
+    # classes of the limit group
     level = horizon + 1
-    columns = []
+    images = {}
     for length, w in composite_zero:
-        e_w = tuple(1 if i == w else 0 for i in range(n))
+        e_w = unit(w)
         vec = tuple(a - b for a, b in zip(B.apply(e_w), e_w))
-        columns.append(B.apply_power(level - length - 1, vec))
-    columns.extend(stabilized_kernel(B))
-    samples = []
+        images[length, w] = B.apply_power(level - length - 1, vec)
     M1B = presentation_matrix(g)
-    if columns:
-        lattice = IntMatrix.from_rows(list(zip(*columns)))
-        for v in range(n):
-            for m in range(0, horizon + 1):
-                e_v = tuple(1 if i == v else 0 for i in range(n))
-                target_vec = M1B.apply(e_v)
-                aligned = B.apply_power(level - m, target_vec)
-                hit = solve_integer_linear(lattice, aligned) is not None
-                samples.append({
-                    "sample": f"[(1-B)e_{g.vertices[v]}, level {m}]",
-                    "certified": hit,
-                })
+    samples = []
+    for v in range(n):
+        for m in range(horizon + 1):
+            keys = [(m - 1, v)] if m else [(0, g.edge_range[e]) for e in g.out_edges[v]]
+            aligned = B.apply_power(level - m, M1B.apply(unit(v)))
+            witness = [images.get(key) for key in keys]
+            hit = None not in witness and tuple(-sum(c) for c in zip(*witness)) == aligned
+            samples.append({
+                "sample": f"[(1-B)e_{g.vertices[v]}, level {m}]",
+                "certified": hit,
+            })
     return {
         "horizon": horizon,
         "weakly_connected": props.weakly_connected,

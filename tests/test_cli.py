@@ -248,33 +248,46 @@ def test_disagreement_schema_fault_injection():
     assert "routes" in data["routes_report"]
 
 
-def test_each_matrix_factored_once_per_command(graphs, tmp_path, capsys, monkeypatch):
-    # (U, D, V) determines M = U^-1 D V^-1, and equal matrices give equal
-    # factorisations, so distinct triples mean no matrix was factored twice
-    made = []
-    check = SNFResult.__post_init__
-
-    def counted(self):
-        check(self)
-        made.append((self.U, self.D, self.V))
-
-    monkeypatch.setattr(SNFResult, "__post_init__", counted)
-    rng = random.Random(4)
-    lines = [f"vertex v{i}" for i in range(16)]
-    for i in range(16):
-        for j in ((i + 1) % 16, rng.randrange(16), rng.randrange(16)):
+def _sparse_graph(path, n, seed):
+    """Vertex i has an edge to i+1 mod n and two edges to seeded random targets."""
+    rng = random.Random(seed)
+    lines = [f"vertex v{i}" for i in range(n)]
+    for i in range(n):
+        for j in ((i + 1) % n, rng.randrange(n), rng.randrange(n)):
             lines.append(f"edge e{len(lines)} v{i} v{j}")
-    sparse = tmp_path / "sparse16.graph"
-    sparse.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    runs = [(["graph-ktheory", str(sparse)], 1), (["cone-ktheory", str(sparse)], 1)]
-    runs += [(["crosscheck", graphs[name], "--horizon", "2"], 3)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_each_matrix_factored_once_per_command(graphs, tmp_path, capsys, monkeypatch):
+    # every command factors 1 - B and nothing else; a second factorisation
+    # raises before it starts, so a command that would factor another matrix
+    # fails at once (on the 6-vertex graphs a factorisation of B^6 did not
+    # finish in 60 s)
+    factor = intmat._smith_normal_form
+    made = []
+
+    def once(M):
+        if made:
+            raise AssertionError("second factorisation in one command")
+        made.append(M)
+        return factor(M)
+
+    monkeypatch.setattr(intmat, "_smith_normal_form", once)
+    sparse = _sparse_graph(tmp_path / "sparse16.graph", 16, 4)
+    runs = [["graph-ktheory", sparse], ["cone-ktheory", sparse]]
+    runs += [["crosscheck", graphs[name], "--horizon", "2"]
              for name in ("o2", "o3", "loop", "two", "cycle3")]
-    for argv, expected in runs:
+    runs += [["crosscheck", _sparse_graph(tmp_path / f"sparse6_{seed}.graph", 6, seed),
+              "--horizon", "2"] for seed in (1, 2, 3)]
+    for argv in runs:
         made.clear()
-        assert run_command(argv) == 0, argv
-        capsys.readouterr()
-        assert len(made) == expected, argv
-        assert len(set(made)) == expected, argv
+        code, data = run_json(capsys, argv)
+        assert code == 0, (argv, data)
+        with open(argv[1], encoding="utf-8") as fh:
+            assert made == [presentation_matrix(parse_graph(fh.read()))], argv
+        if argv[0] == "crosscheck":
+            assert data["six_term"]["not_certified"] == [], argv
 
 
 def test_surjectivity_certificate_is_checked(graphs, capsys, monkeypatch):

@@ -3,11 +3,12 @@ import pytest
 from graphck.afcore import K0FClass
 from graphck.errors import HypothesisError
 from graphck.graphs import parse_graph, transfer_matrix
-from graphck.intmat import AbelianGroup
+from graphck.intmat import AbelianGroup, IntMatrix
 from graphck.ktheory import (exactness_report, graph_k_theory, j_star,
                              j_star_is_zero, presentation_matrix)
 
-from corpus import SINK_TEXT, cuntz, cycle3_chords, o2, single_loop, two_vertex
+from corpus import (SINK_TEXT, cuntz, cycle3_chords, o2, single_loop, singular_b,
+                    two_vertex)
 
 
 def e_vec(g, v):
@@ -84,12 +85,27 @@ def test_j_star_cuntz_independent_of_level():
 
 
 def test_exactness_report_corpus():
-    for g in (o2(), cuntz(3), single_loop(), two_vertex(), cycle3_chords()):
+    for g in (o2(), cuntz(3), single_loop(), two_vertex(), cycle3_chords(), singular_b()):
         report = exactness_report(g, horizon=3)
         assert report["composite_zero"], report["composite_failures"]
         assert report["j_star_surjective"]
         assert report["not_certified"] == []
         assert report["generators_checked"] > 0
+
+
+def test_kernel_sample_certificate_catches_a_wrong_entry():
+    # the samples are read from the graph's 1 - B and the witnesses from B;
+    # a wrong entry in column j of 1 - B changes every sample at vertex j,
+    # and B^k e_i is never zero without sinks, so every level shows it
+    for make in (two_vertex, cycle3_chords, singular_b):
+        for i, j in ((0, 0), (1, 0), (0, 1)):
+            g = make()
+            rows = [list(row) for row in presentation_matrix(g).entries]
+            rows[i][j] += 1
+            g._presentation_matrix = IntMatrix.from_rows(rows)
+            report = exactness_report(g, horizon=2)
+            assert report["not_certified"] == [
+                f"[(1-B)e_{g.vertices[j]}, level {m}]" for m in range(3)], (make, i, j)
 
 
 def test_exactness_single_loop_kernel():
