@@ -26,7 +26,7 @@ from math import lcm
 from operator import add
 
 from .algebra import CKElement, classify
-from .errors import InternalInvariantError, NotAProjectionError
+from .errors import GraphMismatchError, InternalInvariantError, NotAProjectionError
 from .graphs import Graph, require_regular, transfer_matrix
 from .intmat import AbelianGroup, in_stabilized_kernel
 
@@ -135,7 +135,7 @@ def k0f_zero(g: Graph) -> K0FClass:
 def k0f_equal(x: K0FClass, y: K0FClass) -> bool:
     """Equality in the direct limit: the aligned difference dies under B."""
     if x.graph is not y.graph:
-        raise ValueError("classes live over different graphs")
+        raise GraphMismatchError("classes live over different graphs")
     B = transfer_matrix(x.graph)
     n = max(x.level, y.level)
     u = B.apply_power(n - x.level, x.vec)
@@ -154,7 +154,7 @@ def k0f_combine(graph: Graph, terms) -> K0FClass:
     acc = [0] * graph.n_vertices
     for coeff, cls in terms:
         if cls.graph is not graph:
-            raise ValueError("classes live over different graphs")
+            raise GraphMismatchError("classes live over different graphs")
         vec = B.apply_power(n - cls.level, cls.vec)
         for i, v in enumerate(vec):
             acc[i] += coeff * v

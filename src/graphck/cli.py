@@ -1,8 +1,16 @@
 """Command-line interface.
 
-Exit codes: 0 success; 2 for bad input or violated graph hypotheses
-(with a machine-readable error object on stdout); 1 for internal
-assertion failures.
+Every subcommand is one entry of `_COMMANDS`: its help text, its
+arguments after the graph file, and a handler `(g, args) -> dict` that
+gives only that subcommand's own report fields.  `run_command` reads the
+graph file, adds `"command"` and `"graph"` to those fields and prints the
+report, or one error object.  The parser is built once, at import.
+
+Exit codes: 0 success; 2 for bad input, violated graph hypotheses or an
+unreadable graph file, that is every `GraphCKError` but
+`InternalInvariantError` and the `OSError` or `UnicodeDecodeError` of
+reading the file (with a machine-readable error object on stdout); 1 for
+`InternalInvariantError` and any other failure.
 """
 
 from __future__ import annotations
@@ -15,24 +23,12 @@ from .afcore import class_of_projection, k0f_describe
 from .algebra import classify, is_zero
 from .cone import (ConeClass, cone_equal, decompose_relations, ev_star,
                    mapping_cone_k_groups)
-from .errors import (AdmissibilityError, ArgumentRangeError, ExprSyntaxError,
-                     GraphMismatchError, GraphSyntaxError, HypothesisError,
-                     NotAProjectionError, SinkObstructionError)
+from .errors import ArgumentRangeError, GraphCKError, InternalInvariantError
 from .exprs import format_element, parse_element
 from .graphs import parse_graph, validate_graph, vertex_matrix
 from .ktheory import exactness_report, graph_k_theory
 from .pairing import AdmissibleIsometry, pairing, pairing_crosscheck
 from .render import render_report
-
-_USAGE_ERRORS = (GraphSyntaxError, ExprSyntaxError, GraphMismatchError,
-                 SinkObstructionError, HypothesisError, AdmissibilityError,
-                 NotAProjectionError, ArgumentRangeError, FileNotFoundError,
-                 IsADirectoryError, PermissionError)
-
-
-def _load_graph(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
 
 
 def _graph_summary(g) -> dict:
@@ -50,24 +46,14 @@ def _graph_summary(g) -> dict:
     }
 
 
-def _cmd_graph_validate(args):
-    g = _load_graph(args.graph)
-    return {"command": "graph-validate", "graph": _graph_summary(g),
-            "vertex_matrix": vertex_matrix(g)}
+def _isometry(g, args):
+    return AdmissibleIsometry(tuple(parse_element(text, g) for text in args.exprs))
 
 
-def _cmd_graph_ktheory(args):
-    g = _load_graph(args.graph)
-    return {"command": "graph-ktheory", "graph": _graph_summary(g),
-            "ktheory": graph_k_theory(g)}
-
-
-def _cmd_elem_eval(args):
-    g = _load_graph(args.graph)
+def _elem_eval(g, args):
     elem = parse_element(args.expr, g)
     info = classify(elem)
-    return {"command": "elem-eval", "graph": _graph_summary(g),
-            "element": format_element(elem),
+    return {"element": format_element(elem),
             "classification": {
                 "is_projection": info.is_projection,
                 "is_partial_isometry": info.is_partial_isometry,
@@ -77,89 +63,91 @@ def _cmd_elem_eval(args):
             }}
 
 
-def _cmd_elem_check(args):
-    g = _load_graph(args.graph)
-    elem = parse_element(args.expr, g)
-    return {"command": "elem-check", "graph": _graph_summary(g),
-            "expression": args.expr, "is_zero": is_zero(elem)}
-
-
-def _cmd_class_af(args):
-    g = _load_graph(args.graph)
-    elem = parse_element(args.expr, g)
-    cls = class_of_projection(elem)
+def _class_af(g, args):
+    cls = class_of_projection(parse_element(args.expr, g))
     desc = k0f_describe(g)
-    return {"command": "class-af", "graph": _graph_summary(g),
-            "class": cls,
+    return {"class": cls,
             "group": {"model": desc["model"],
                       "transfer_matrix": desc["transfer_matrix"],
                       "closed_form": desc["closed_form"],
                       "K1_of_core": desc["k1"]}}
 
 
-def _cmd_pair(args):
-    g = _load_graph(args.graph)
-    blocks = tuple(parse_element(text, g) for text in args.exprs)
-    report = pairing(AdmissibleIsometry(blocks))
-    payload = {"command": "pair", "graph": _graph_summary(g),
-               "orientation": report.orientation, "agree": report.agree}
-    if args.route == "all":
-        payload["routes"] = report.routes
-        payload["breakdown"] = report.per_route_breakdown
-    else:
-        payload["routes"] = {args.route: report.routes[args.route]}
-        payload["breakdown"] = {args.route: report.per_route_breakdown[args.route]}
-    return payload
+def _pair(g, args):
+    report = pairing(_isometry(g, args))
+    return {"orientation": report.orientation, "agree": report.agree,
+            "routes": {k: v for k, v in report.routes.items()
+                       if args.route in ("all", k)},
+            "breakdown": {k: v for k, v in report.per_route_breakdown.items()
+                          if args.route in ("all", k)}}
 
 
-def _cmd_cone_ev(args):
-    g = _load_graph(args.graph)
-    blocks = tuple(parse_element(text, g) for text in args.exprs)
-    cls = ConeClass.of(AdmissibleIsometry(blocks))
-    return {"command": "cone-ev", "graph": _graph_summary(g),
-            "source_class": cls.ev_class[0], "range_class": cls.ev_class[1],
+def _cone_ev(g, args):
+    cls = ConeClass.of(_isometry(g, args))
+    return {"source_class": cls.ev_class[0], "range_class": cls.ev_class[1],
             "ev": ev_star(cls)}
 
 
-def _cmd_cone_equal(args):
-    g = _load_graph(args.graph)
+def _cone_equal(g, args):
     left = parse_element(args.expr_a, g)
     a = ConeClass.of(left)
     right = parse_element(args.expr_b, g)
     b = ConeClass.of(right)
-    return {"command": "cone-equal", "graph": _graph_summary(g),
-            "left": format_element(left), "right": format_element(right),
+    return {"left": format_element(left), "right": format_element(right),
             "verdict": cone_equal(a, b),
             "left_invariants": {"ev": ev_star(a), "index": a.index_class},
             "right_invariants": {"ev": ev_star(b), "index": b.index_class}}
 
 
-def _cmd_cone_decompose(args):
-    g = _load_graph(args.graph)
+def _cone_decompose(g, args):
     elem = parse_element(args.expr, g)
     result = decompose_relations(elem)
-    return {"command": "cone-decompose", "graph": _graph_summary(g),
-            "input": format_element(elem),
+    return {"input": format_element(elem),
             "parts": [{"sign": s, "element": format_element(e)}
                       for s, e in result["parts"]],
             "certificate": result["certificate"]}
 
 
-def _cmd_cone_ktheory(args):
-    g = _load_graph(args.graph)
-    return {"command": "cone-ktheory", "graph": _graph_summary(g),
-            "report": mapping_cone_k_groups(g)}
+def _crosscheck(g, args):
+    return {"horizon": args.horizon,
+            "pairing_routes": pairing_crosscheck(g, horizon=args.horizon),
+            "six_term": exactness_report(g, horizon=args.horizon)}
 
 
-def _cmd_crosscheck(args):
-    if args.horizon < 0:
-        raise ArgumentRangeError(f"--horizon must be nonnegative, got {args.horizon}")
-    g = _load_graph(args.graph)
-    routes = pairing_crosscheck(g, horizon=args.horizon)
-    exact = exactness_report(g, horizon=args.horizon)
-    return {"command": "crosscheck", "graph": _graph_summary(g),
-            "horizon": args.horizon,
-            "pairing_routes": routes, "six_term": exact}
+_EXPR = (("expr", {"help": "element expression"}),)
+_BLOCKS = (("exprs", {"nargs": "+", "metavar": "expr",
+                      "help": "element expressions (direct-sum blocks)"}),)
+
+# subcommand -> (help, add_argument calls after the graph file, handler).
+# Handlers look library functions up in this module's globals at call time,
+# so a wrapper set on a module attribute (perfbench/tracer.py) sees the call.
+_COMMANDS = {
+    "graph-validate": ("flags and vertex matrix", (),
+                       lambda g, args: {"vertex_matrix": vertex_matrix(g)}),
+    "graph-ktheory": ("K-groups of the graph algebra", (),
+                      lambda g, args: {"ktheory": graph_k_theory(g)}),
+    "elem-eval": ("parse and classify an element", _EXPR, _elem_eval),
+    "elem-check": ("decide whether an element is 0", _EXPR,
+                   lambda g, args: {"expression": args.expr,
+                                    "is_zero": is_zero(parse_element(args.expr, g))}),
+    "class-af": ("limit-group class of a core projection", _EXPR, _class_af),
+    "pair": ("index pairing by all three routes",
+             _BLOCKS + (("--route", {"choices": ("odd", "aps", "simplified", "all"),
+                                     "default": "all"}),),
+             _pair),
+    "cone-ev": ("evaluation invariant of a cone class", _BLOCKS, _cone_ev),
+    "cone-equal": ("decide equality of two cone classes",
+                   (("expr_a", {"help": "first element expression"}),
+                    ("expr_b", {"help": "second element expression"})),
+                   _cone_equal),
+    "cone-decompose": ("generator decomposition of a word class", _EXPR, _cone_decompose),
+    "cone-ktheory": ("K-groups of the mapping cone", (),
+                     lambda g, args: {"report": mapping_cone_k_groups(g)}),
+    "crosscheck": ("route agreement and six-term checks",
+                   (("--horizon", {"type": int, "default": 4,
+                                   "help": "generator enumeration bound (default 4)"}),),
+                   _crosscheck),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,72 +157,35 @@ def build_parser() -> argparse.ArgumentParser:
                     "Cuntz-Krieger algebras of finite graphs.")
     parser.add_argument("--version", action="version", version=f"graphck {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, exprs=0, horizon=False):
+    for name, (help_text, arguments, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("graph", help="graph definition file")
-        if exprs == 1:
-            p.add_argument("expr", help="element expression")
-        elif exprs == 2:
-            p.add_argument("expr_a", help="first element expression")
-            p.add_argument("expr_b", help="second element expression")
-        elif exprs == "many":
-            p.add_argument("exprs", nargs="+", metavar="expr",
-                           help="element expressions (direct-sum blocks)")
-        if horizon:
-            p.add_argument("--horizon", type=int, default=4,
-                           help="generator enumeration bound (default 4)")
+        for arg, options in arguments:
+            p.add_argument(arg, **options)
         p.add_argument("--format", choices=("json", "text"), default="json")
-        return p
-
-    common(sub.add_parser("graph-validate", help="flags and vertex matrix"))
-    common(sub.add_parser("graph-ktheory", help="K-groups of the graph algebra"))
-    common(sub.add_parser("elem-eval", help="parse and classify an element"), exprs=1)
-    common(sub.add_parser("elem-check", help="decide whether an element is 0"), exprs=1)
-    common(sub.add_parser("class-af", help="limit-group class of a core projection"), exprs=1)
-    p = common(sub.add_parser("pair", help="index pairing by all three routes"), exprs="many")
-    p.add_argument("--route", choices=("odd", "aps", "simplified", "all"), default="all")
-    common(sub.add_parser("cone-ev", help="evaluation invariant of a cone class"), exprs="many")
-    common(sub.add_parser("cone-equal", help="decide equality of two cone classes"), exprs=2)
-    common(sub.add_parser("cone-decompose", help="generator decomposition of a word class"),
-           exprs=1)
-    common(sub.add_parser("cone-ktheory", help="K-groups of the mapping cone"))
-    common(sub.add_parser("crosscheck", help="route agreement and six-term checks"),
-           horizon=True)
     return parser
 
 
-_HANDLERS = {
-    "graph-validate": _cmd_graph_validate,
-    "graph-ktheory": _cmd_graph_ktheory,
-    "elem-eval": _cmd_elem_eval,
-    "elem-check": _cmd_elem_check,
-    "class-af": _cmd_class_af,
-    "pair": _cmd_pair,
-    "cone-ev": _cmd_cone_ev,
-    "cone-equal": _cmd_cone_equal,
-    "cone-decompose": _cmd_cone_decompose,
-    "cone-ktheory": _cmd_cone_ktheory,
-    "crosscheck": _cmd_crosscheck,
-}
+_PARSER = build_parser()
 
 
 def run_command(argv) -> int:
     """Parse argv, run the command, print the report; returns the exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    fmt = getattr(args, "format", "json")
+    args = _PARSER.parse_args(argv)
     try:
-        report = _HANDLERS[args.subcommand](args)
-    except _USAGE_ERRORS as exc:
-        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        sys.stdout.write(render_report(error, fmt))
-        return 2
-    except Exception as exc:  # internal failures still emit a structured object
-        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        sys.stdout.write(render_report(error, fmt))
-        return 1
-    sys.stdout.write(render_report(report, fmt))
-    return 0
+        if getattr(args, "horizon", 0) < 0:
+            raise ArgumentRangeError(f"--horizon must be nonnegative, got {args.horizon}")
+        with open(args.graph, "r", encoding="utf-8") as fh:
+            g = parse_graph(fh.read())
+        report = {**_COMMANDS[args.subcommand][2](g, args),
+                  "command": args.subcommand, "graph": _graph_summary(g)}
+        code = 0
+    except Exception as exc:  # every failure is reported as one structured object
+        report = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        usage = isinstance(exc, (GraphCKError, OSError, UnicodeDecodeError))
+        code = 2 if usage and not isinstance(exc, InternalInvariantError) else 1
+    sys.stdout.write(render_report(report, args.format))
+    return code
 
 
 def main():

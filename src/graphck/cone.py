@@ -14,7 +14,7 @@ from __future__ import annotations
 from .afcore import (K0FClass, class_of_projection, k0f_combine, k0f_describe,
                      k0f_equal)
 from .algebra import CKElement
-from .errors import AdmissibilityError, InternalInvariantError
+from .errors import AdmissibilityError, GraphMismatchError, InternalInvariantError
 from .graphs import Graph, Path, require_regular, transfer_matrix, validate_graph
 from .intmat import AbelianGroup
 from .ktheory import graph_k_theory, vertex_classes_surject
@@ -91,7 +91,7 @@ def cone_equal(a: ConeClass, b: ConeClass) -> str:
     decides nothing and is reported as unknown.
     """
     if a.graph is not b.graph:
-        raise ValueError("classes live over different graphs")
+        raise GraphMismatchError("classes live over different graphs")
     g = a.graph
     props = validate_graph(g)
     index_eq = k0f_equal(a.index_class, b.index_class)

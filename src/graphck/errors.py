@@ -1,7 +1,9 @@
 """Exception hierarchy.
 
-Errors fall into two classes mirrored by the CLI exit codes: input or
-hypothesis problems (exit 2) and internal consistency failures (exit 1).
+Errors fall into two classes mirrored by the CLI exit codes: every
+`GraphCKError` but `InternalInvariantError` is an input or hypothesis
+problem (exit 2, as is an unreadable graph file), and
+`InternalInvariantError` is an internal consistency failure (exit 1).
 """
 
 

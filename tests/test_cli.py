@@ -1,11 +1,12 @@
+import argparse
 import json
 import random
 
 import pytest
 
 from graphck.cli import run_command
-from graphck import intmat
-from graphck.errors import GraphSyntaxError
+from graphck import cli, intmat
+from graphck.errors import GraphCKError, GraphSyntaxError, InternalInvariantError
 from graphck.graphs import parse_graph, presentation_matrix
 from graphck.intmat import IntMatrix, SNFResult
 from graphck.render import render_report
@@ -190,6 +191,51 @@ def test_parse_error_exits_2(graphs, capsys, tmp_path):
     assert code == 2 and data["error"]["type"] == "ExprSyntaxError"
     code, data = run_json(capsys, ["elem-check", str(tmp_path / "absent.graph"), "S(a)"])
     assert code == 2 and data["error"]["type"] == "FileNotFoundError"
+    not_utf8 = tmp_path / "latin.graph"
+    not_utf8.write_bytes(b"\xff\xfe bad")
+    code, data = run_json(capsys, ["graph-validate", str(not_utf8)])
+    assert code == 2 and data["error"]["type"] == "UnicodeDecodeError"
+    code, data = run_json(capsys, ["graph-validate", str(tmp_path / ("x" * 300))])
+    assert code == 2 and data["error"]["type"] == "OSError"
+    assert data["error"]["message"].startswith("[Errno 36]")
+
+
+def _subclasses(cls):
+    return [cls] + [s for sub in cls.__subclasses__() for s in _subclasses(sub)]
+
+
+def test_exit_code_follows_error_hierarchy(graphs, capsys, monkeypatch):
+    # InternalInvariantError is a bug and exits 1; every other package error,
+    # the base class included, is bad input and exits 2
+    classes = _subclasses(GraphCKError)
+    assert InternalInvariantError in classes and len(classes) >= 10
+    help_text, arguments, _ = cli._COMMANDS["graph-validate"]
+    for cls in classes:
+        exc = cls("boom")
+
+        def fail(g, args):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "graph-validate", (help_text, arguments, fail))
+        code, data = run_json(capsys, ["graph-validate", graphs["o2"]])
+        assert code == (1 if cls is InternalInvariantError else 2), cls
+        assert data == {"error": {"type": cls.__name__, "message": str(exc)}}, cls
+
+
+def test_parser_built_once(graphs, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (["graph-ktheory", graphs["o2"]], ["pair", graphs["o3"], "S(a)"],
+                 ["crosscheck", graphs["loop"], "--horizon", "1"]):
+        assert run_command(argv) == 0
+    capsys.readouterr()
+    assert built == []
 
 
 def test_inadmissible_exits_2(graphs, capsys):

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from graphck.afcore import k0f_equal, k0f_is_zero, k0f_value_in_closed_form
+from graphck.afcore import (K0FClass, k0f_combine, k0f_equal, k0f_is_zero,
+                            k0f_value_in_closed_form)
 from graphck.algebra import CKElement
 from graphck.cone import (ConeClass, cone_equal, decompose_relations, ev_star,
                           mapping_cone_k_groups, vfa_membership)
-from graphck.errors import AdmissibilityError, HypothesisError
+from graphck.errors import AdmissibilityError, GraphMismatchError, HypothesisError
 from graphck.exprs import format_element
 from graphck.graphs import enumerate_paths, parse_graph
 from graphck.pairing import pairing_value
@@ -223,3 +224,15 @@ def test_core_partial_isometries_have_zero_class():
     w = CKElement.word(g, g.path("a", "b"), g.path("b", "a"))
     c = ConeClass.of(w)
     assert k0f_is_zero(ev_star(c)) and k0f_is_zero(c.index_class)
+
+
+def test_classes_over_different_graphs_raise_graph_mismatch():
+    g, h = o2(), o3()
+    x, y = K0FClass(g, 0, (1,)), K0FClass(h, 0, (1,))
+    a = ConeClass.of(CKElement.edge_isometry(g, "a"))
+    b = ConeClass.of(CKElement.edge_isometry(h, "a"))
+    for mix in (lambda: k0f_equal(x, y),
+                lambda: k0f_combine(g, [(1, x), (1, y)]),
+                lambda: cone_equal(a, b)):
+        with pytest.raises(GraphMismatchError, match="^classes live over different graphs$"):
+            mix()

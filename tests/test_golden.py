@@ -9,6 +9,6 @@ def test_cli_matches_golden_corpus():
 
 
 def test_golden_corpus_covers_every_subcommand():
-    from graphck.cli import _HANDLERS
+    from graphck.cli import _COMMANDS
 
-    assert {e["argv"][0] for e in golden.load()} == set(_HANDLERS)
+    assert {e["argv"][0] for e in golden.load()} == set(_COMMANDS)
